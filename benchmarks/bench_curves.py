@@ -172,60 +172,8 @@ def run_kernel_benchmark(repeats: int = 5, budget: int = 64):
         "compact_budget": budget,
         "repeats": repeats,
         "kernels": kernels,
-        "backends": run_backend_benchmark(repeats=repeats),
         "compaction_cache": cache_stats,
     }
-
-
-def run_backend_benchmark(repeats: int = 5):
-    """Per-backend timings of the hot kernels (same inputs, both backends).
-
-    Rows carry one ``<name>_s`` median per available backend plus a
-    ``speedup`` (python over numpy) when both are present; the
-    ``service_transform_n10000`` speedup is the CI-gated figure
-    (``--min-backend-speedup``).
-    """
-    from repro.curves import available_backends, use_backend
-
-    names = available_backends()
-    rows = {}
-
-    def time_per_backend(fn):
-        row = {}
-        for name in names:
-            with use_backend(name):
-                row[f"{name}_s"] = _median_time(fn, repeats)
-        if "numpy" in names and "python" in names:
-            row["speedup"] = row["python_s"] / row["numpy_s"]
-        return row
-
-    for n in [1000, 10000]:
-        c = periodic_workload(n)
-        horizon = float(n + 10)
-        ident = Curve.identity()
-        rows[f"service_transform_n{n}"] = time_per_backend(
-            lambda: service_transform(ident, c, 0.0, horizon)
-        )
-
-    c = periodic_workload(10000)
-    levels = 0.4 * np.arange(1, 10001)
-    rows["first_crossing_n10000"] = time_per_backend(
-        lambda: c.first_crossing(levels)
-    )
-
-    curves = [periodic_workload(2000, period=1.0 + 0.01 * i) for i in range(16)]
-    rows["sum_curves_16x2000"] = time_per_backend(lambda: sum_curves(curves))
-
-    # identity_minus (exact mode) needs a continuous bounded-rate total:
-    # a 4000-segment ramp alternating slopes 0.2 and 0.9.
-    xs = np.arange(4001, dtype=float)
-    dy = np.tile([0.2, 0.9], 2000)
-    ys = np.concatenate(([0.0], np.cumsum(dy)))
-    total = Curve.from_breakpoints(xs, ys, final_slope=0.2)
-    rows["identity_minus_n4000"] = time_per_backend(
-        lambda: identity_minus(total)
-    )
-    return rows
 
 
 def main(argv=None) -> int:
@@ -236,11 +184,6 @@ def main(argv=None) -> int:
                         help="write BENCH_curves.json at the repo root")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--budget", type=int, default=64)
-    parser.add_argument(
-        "--min-backend-speedup", type=float, default=None,
-        help="fail unless the numpy backend beats the python backend by at "
-             "least this factor on service_transform_n10000",
-    )
     args = parser.parse_args(argv)
 
     report = run_kernel_benchmark(repeats=args.repeats, budget=args.budget)
@@ -251,31 +194,10 @@ def main(argv=None) -> int:
             if not isinstance(v, dict)
         )
         print(f"{name}: {fields}")
-    for name, row in report["backends"].items():
-        fields = ", ".join(
-            f"{k}={v:.5f}s" if k.endswith("_s") else f"{k}={v:.2f}x"
-            for k, v in row.items()
-        )
-        print(f"backend {name}: {fields}")
     if args.json:
         out = REPO_ROOT / "BENCH_curves.json"
         write_json_atomic(out, report, indent=2, default=str)
         print(f"wrote {out}")
-    if args.min_backend_speedup is not None:
-        gated = report["backends"].get("service_transform_n10000", {})
-        speedup = gated.get("speedup")
-        if speedup is None:
-            print("backend speedup gate: both backends required", file=sys.stderr)
-            return 1
-        if speedup < args.min_backend_speedup:
-            print(
-                f"backend speedup gate: service_transform_n10000 speedup "
-                f"{speedup:.2f}x < required {args.min_backend_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"backend speedup gate: {speedup:.2f}x "
-              f">= {args.min_backend_speedup:.2f}x")
     return 0
 
 

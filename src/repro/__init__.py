@@ -60,7 +60,7 @@ from .analysis import (
 )
 from .batch import BatchEngine, BatchItem, BatchReport
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "Curve",

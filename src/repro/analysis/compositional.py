@@ -51,7 +51,7 @@ from .hopbounds import (
     visible_step,
 )
 from .horizon import HorizonConfig, run_adaptive
-from .options import AnalysisOptions, backend_scope
+from .options import AnalysisOptions
 from .spp_exact import _overloaded_result
 
 __all__ = [
@@ -168,7 +168,7 @@ class CompositionalAnalysis:
         def analyze_once(h: float, report: float) -> Tuple[AnalysisResult, bool]:
             return self._analyze_horizon(system, order, h, report)
 
-        with backend_scope(self.options), trace_span(
+        with trace_span(
             "analyze", method=self.method, n_jobs=len(list(system.jobs))
         ) as span:
             result = run_adaptive(analyze_once, system.job_set, self.horizon)

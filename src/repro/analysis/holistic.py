@@ -38,7 +38,6 @@ from typing import Dict, Tuple
 from ..model.system import SchedulingPolicy, System
 from ..obs.trace import trace_span
 from .base import AnalysisError, AnalysisResult, EndToEndResult, SubjobResult
-from .options import backend_scope
 from .spp_exact import _overloaded_result
 
 __all__ = ["HolisticSPPAnalysis"]
@@ -79,7 +78,7 @@ class HolisticSPPAnalysis:
         self.options = options
 
     def analyze(self, system: System) -> AnalysisResult:
-        with backend_scope(self.options), trace_span(
+        with trace_span(
             "analyze", method=self.method, n_jobs=len(list(system.jobs))
         ) as span:
             result = self._analyze(system)

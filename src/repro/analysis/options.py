@@ -17,15 +17,13 @@ only get looser).  Exact analyses ignore compaction entirely; see
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
-from ..curves import backend as _backend
 from ..curves.compact import MIN_BUDGET, compact
 from ..curves.curve import Curve
 
-__all__ = ["AnalysisOptions", "backend_scope"]
+__all__ = ["AnalysisOptions"]
 
 
 @dataclass(frozen=True)
@@ -45,11 +43,6 @@ class AnalysisOptions:
     #: horizon's envelopes (lossless: every seeded value is itself a
     #: sound bound; see ``FixpointAnalysis``).
     warm_start: bool = True
-    #: Curve kernel backend for the analysis (``"numpy"`` / ``"python"``).
-    #: ``None`` keeps the process-wide selection (``REPRO_CURVE_BACKEND``
-    #: or the built-in default); both backends are bit-identical by
-    #: contract, so this is a performance knob, not a semantic one.
-    backend: Optional[str] = None
     #: Record per-sweep fixpoint convergence telemetry (max residual,
     #: per-hop bound deltas, dirty-set sizes) in the result's
     #: ``convergence`` block.  Telemetry-only: bounds and every other
@@ -64,11 +57,6 @@ class AnalysisOptions:
     cache_size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None and self.backend not in ("numpy", "python"):
-            raise ValueError(
-                f"backend must be 'numpy', 'python' or None, "
-                f"got {self.backend!r}"
-            )
         if self.compact_mode not in ("budget", "error"):
             raise ValueError(
                 f"compact_mode must be 'budget' or 'error', "
@@ -126,15 +114,3 @@ class AnalysisOptions:
         """Compact a lower-bound envelope downward (result stays below)."""
         return self.cap(curve, "lower", require_step=require_step)
 
-
-def backend_scope(options: Optional[AnalysisOptions]):
-    """Context manager applying ``options.backend`` for an analysis run.
-
-    A no-op when ``options`` is ``None`` or carries no backend, so every
-    analyzer can wrap its ``analyze`` body unconditionally.  Availability
-    errors (e.g. requesting ``"numpy"`` without NumPy) surface here, at
-    the start of the run, as :class:`~repro.curves.backend.BackendError`.
-    """
-    if options is None or options.backend is None:
-        return nullcontext()
-    return _backend.use_backend(options.backend)

@@ -39,7 +39,7 @@ from .base import (
     dependency_order,
 )
 from .horizon import HorizonConfig, run_adaptive
-from .options import AnalysisOptions, backend_scope
+from .options import AnalysisOptions
 
 __all__ = ["SppExactAnalysis"]
 
@@ -124,7 +124,7 @@ class SppExactAnalysis:
         def analyze_once(h: float, report: float) -> Tuple[AnalysisResult, bool]:
             return self._analyze_horizon(system, order, h, report)
 
-        with backend_scope(self.options), trace_span(
+        with trace_span(
             "analyze", method=self.method, n_jobs=len(list(system.jobs))
         ) as span:
             result = run_adaptive(analyze_once, system.job_set, self.horizon)

@@ -39,7 +39,6 @@ from ..model.job import SubJob
 from ..model.system import SchedulingPolicy, System
 from ..obs.trace import trace_span
 from .base import AnalysisResult, EndToEndResult, SubjobResult, dependency_order
-from .options import backend_scope
 from .compositional import blocking_time
 
 __all__ = ["StationaryAnalysis"]
@@ -84,7 +83,7 @@ class StationaryAnalysis:
         self.options = options
 
     def analyze(self, system: System) -> AnalysisResult:
-        with backend_scope(self.options), trace_span(
+        with trace_span(
             "analyze", method=self.method, n_jobs=len(list(system.jobs))
         ) as span:
             result = self._analyze(system)

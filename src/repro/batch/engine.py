@@ -23,9 +23,8 @@ mechanisms (see ``docs/robustness.md``):
   their attempts are *quarantined* with a reproduction payload instead
   of being retried forever.
 * **Degradation ladder**: repeated failures re-run the item with
-  progressively cheaper analysis options (tighter certified compaction,
-  then the pure-python backend); a result obtained that way is marked
-  ``degraded`` with the rung that succeeded.
+  cheaper analysis options (tighter certified compaction); a result
+  obtained that way is marked ``degraded`` with the rung that succeeded.
 
 Determinism: analysis is a pure function of ``(system, method,
 horizon)``, items never share mutable state, and the report lists results
@@ -69,7 +68,6 @@ from ..analysis.base import AnalysisResult
 from ..analysis.horizon import HorizonConfig
 from ..analysis.options import AnalysisOptions
 from ..cache import CurveSpill, DiskCacheStore, ResultCache, result_key
-from ..curves import backend as _backend
 from ..curves import memo
 from ..model.system import System
 from ..obs import metrics as _obs_metrics
@@ -524,13 +522,6 @@ def _analyze_one(
         delta = cache.stats().delta(before) if cache is not None else None
         if delta is not None and result is not None:
             result.cache_stats = delta.to_dict()
-            # Cache keys mix in the backend name; record which one the
-            # item actually ran under so hit rates stay interpretable.
-            result.cache_stats["backend"] = (
-                options.backend
-                if options is not None and options.backend is not None
-                else _backend.active_backend_name()
-            )
         item = ItemResult(
             index=index,
             item_id=item_id,
@@ -898,11 +889,7 @@ class BatchEngine:
             index: item_digest(system, method, horizon, options)
             for index, _id, system, method, horizon, options, _audit in records
         }
-        fingerprint = campaign_fingerprint(
-            list(digests.values()),
-            audit=self.audit,
-            backend=self._resolved_backend(),
-        )
+        fingerprint = campaign_fingerprint(list(digests.values()), audit=self.audit)
         if self.resume and os.path.exists(journal.path):
             with trace_span("batch.resume", journal=journal.path) as span:
                 entries = journal.open_resume(fingerprint)
@@ -950,11 +937,6 @@ class BatchEngine:
 
         return sink
 
-    def _resolved_backend(self) -> str:
-        if self.options is not None and self.options.backend is not None:
-            return self.options.backend
-        return _backend.active_backend_name()
-
     # ------------------------------------------------------------------
     # persistent result-cache plumbing
     # ------------------------------------------------------------------
@@ -975,12 +957,11 @@ class BatchEngine:
                 if digests is not None
                 else item_digest(system, method, horizon, options)
             )
-            backend = (
-                options.backend
-                if options is not None and options.backend is not None
-                else _backend.active_backend_name()
+            keys[index] = result_key(
+                digest,
+                audit=audit,
+                convergence=options is not None and options.convergence,
             )
-            keys[index] = result_key(digest, audit=audit, backend=backend)
         return keys
 
     def _load_cached(
@@ -1005,9 +986,10 @@ class BatchEngine:
 
         Only clean first-try successes are stored: a retried, degraded,
         unenforced-timeout or failed record reflects this run's
-        environment, not the item, and a record carrying trace/metrics
-        snapshots would replay stale observability.  Resumed/cached
-        records (``journal_payload`` set) are already in the cache.
+        environment, not the item.  Worker trace/metrics snapshots are
+        stripped before storing -- they describe this run, not the item,
+        and would replay stale observability.  Resumed/cached records
+        (``journal_payload`` set) are already in the cache.
         """
         if self._result_cache is None or keys is None:
             return on_final
@@ -1021,12 +1003,13 @@ class BatchEngine:
                 and not item.degraded
                 and not item.attempts
                 and item.journal_payload is None
-                and item.trace is None
-                and item.metrics is None
                 and item.timeout_enforced is not False
                 and item.index in keys
             ):
-                result_cache.put(keys[item.index], item.to_dict())
+                record = item.to_dict()
+                record.pop("trace", None)
+                record.pop("metrics", None)
+                result_cache.put(keys[item.index], record)
 
         return sink
 
@@ -1119,11 +1102,7 @@ class BatchEngine:
             )
             while policy.should_retry(pending.attempt, item.status, item.error):
                 pending.rung = escalate_rung(
-                    pending.rung,
-                    len(rungs),
-                    pending.attempt,
-                    item.status,
-                    item.error,
+                    pending.rung, len(rungs), pending.attempt
                 )
                 self._backoff(policy, pending)
                 with trace_span(
@@ -1373,13 +1352,7 @@ class BatchEngine:
                         pending.pop(0)
                     else:
                         self._count_retry(STATUS_CRASH)
-                        p.rung = escalate_rung(
-                            p.rung,
-                            len(rungs),
-                            attempt,
-                            STATUS_CRASH,
-                            p.log[-1]["error"],
-                        )
+                        p.rung = escalate_rung(p.rung, len(rungs), attempt)
                     continue  # rebuild the pool for whoever is next
 
                 item = chunk_result["results"][0]
@@ -1389,9 +1362,7 @@ class BatchEngine:
                     attempt, item.status, item.error
                 ):
                     self._count_retry(item.status)
-                    p.rung = escalate_rung(
-                        p.rung, len(rungs), attempt, item.status, item.error
-                    )
+                    p.rung = escalate_rung(p.rung, len(rungs), attempt)
                     continue  # same pool, next attempt
                 finish(self._finalize_pending(p, item))
                 pending.pop(0)

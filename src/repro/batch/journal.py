@@ -14,10 +14,10 @@ File format (one JSON object per line):
 
 * **Header** (first line): ``{"c": <crc32>, "h": {...}}`` where ``h``
   carries the schema version and the *campaign fingerprint* -- a digest
-  over every item's content digest plus the engine-level analysis
-  options, curve backend and code version.  Resuming against a journal
-  whose fingerprint does not match the submitted campaign is refused:
-  a journal never silently "resumes" a different sweep.
+  over every item's content digest plus the audit flag and code
+  version.  Resuming against a journal whose fingerprint does not match
+  the submitted campaign is refused: a journal never silently "resumes"
+  a different sweep.
 * **Entries**: ``{"c": <crc32>, "e": {"digest": ..., "index": ...,
   "record": {...}}}`` -- ``record`` is the item's
   :meth:`~repro.batch.engine.ItemResult.to_dict` payload, ``digest`` the
@@ -51,7 +51,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..analysis.horizon import HorizonConfig
 from ..analysis.options import AnalysisOptions
-from ..curves import backend as _backend
 from ..model.io import system_to_dict
 from ..model.system import System
 
@@ -120,19 +119,14 @@ def item_digest(
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()[:32]
 
 
-def campaign_fingerprint(
-    digests: List[str],
-    audit: bool = False,
-    backend: Optional[str] = None,
-) -> Dict[str, Any]:
+def campaign_fingerprint(digests: List[str], audit: bool = False) -> Dict[str, Any]:
     """Fingerprint sealing a journal to one campaign.
 
     Covers the multiset of item digests (order-independently), whether
-    audit mode was on (it changes record payloads), the curve backend the
-    campaign resolves to, and the code version.  Everything that can
-    change an item's *outcome* is already inside the per-item digests;
-    the fingerprint adds the campaign-level context worth refusing a
-    resume over.
+    audit mode was on (it changes record payloads), and the code version.
+    Everything that can change an item's *outcome* is already inside the
+    per-item digests; the fingerprint adds the campaign-level context
+    worth refusing a resume over.
     """
     h = hashlib.sha256()
     for digest in sorted(digests):
@@ -141,7 +135,6 @@ def campaign_fingerprint(
         "kind": JOURNAL_KIND,
         "schema": JOURNAL_SCHEMA_VERSION,
         "code_version": _code_version(),
-        "backend": backend if backend is not None else _backend.active_backend_name(),
         "audit": bool(audit),
         "n_items": len(digests),
         "items_digest": h.hexdigest()[:32],
@@ -330,8 +323,7 @@ class BatchJournal:
     ) -> None:
         stale = {
             k: (header.get(k), fingerprint[k])
-            for k in ("items_digest", "n_items", "audit", "backend",
-                      "code_version")
+            for k in ("items_digest", "n_items", "audit", "code_version")
             if header.get(k) != fingerprint[k]
         }
         if stale:

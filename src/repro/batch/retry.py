@@ -21,14 +21,11 @@ Retrying a timed-out item with the same options usually times out again.
 * **rung 0** -- the item's own options, untouched;
 * **rung 1** -- certified curve compaction tightened (budget halved, or
   enabled at :data:`DEGRADED_BUDGET` when it was off) -- bounds stay
-  sound, they only get looser;
-* **rung 2** -- additionally the pure-Python curve backend, for crashes
-  where native numpy code is implicated.
+  sound, they only get looser.
 
 :func:`escalate_rung` maps an attempt's failure onto the next rung: the
 first retry repeats the current rung (the fault may have been
-environmental), repeated failures step down one rung at a time, and a
-crash that implicates numpy jumps straight to the python-backend rung.
+environmental), and repeated failures step down one rung at a time.
 A result that succeeds on rung > 0 is marked ``degraded`` with the rung
 recorded, so looser-than-usual bounds are always attributable.
 """
@@ -42,7 +39,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.horizon import HorizonConfig
 from ..analysis.options import AnalysisOptions
-from ..curves import backend as _backend
 from ..curves.compact import MIN_BUDGET
 from ..model.io import system_to_dict
 from ..model.system import System
@@ -178,7 +174,7 @@ def degradation_rungs(
     Rung 0 is always ``base`` itself (possibly ``None`` -- the exact
     default pipeline).  Later rungs are only added when they genuinely
     change something: a ladder over options that already compact at the
-    floor budget on the python backend is just ``[base]``.
+    floor budget is just ``[base]``.
     """
     rungs: List[Optional[AnalysisOptions]] = [base]
     opts = base if base is not None else AnalysisOptions()
@@ -189,41 +185,26 @@ def degradation_rungs(
     else:
         budget = max(MIN_BUDGET, opts.compact_budget // 2)
     if opts.compact_mode == "error" or budget != opts.compact_budget:
-        opts = dataclasses.replace(
-            opts,
-            compact_mode="budget",
-            compact_budget=budget,
-            compact_max_error=None,
+        rungs.append(
+            dataclasses.replace(
+                opts,
+                compact_mode="budget",
+                compact_budget=budget,
+                compact_max_error=None,
+            )
         )
-        rungs.append(opts)
-
-    # Rung 2: pure-python curve kernels (native-code crash escape hatch).
-    resolved = opts.backend or _backend.active_backend_name()
-    if resolved != "python" and "python" in _backend.available_backends():
-        opts = dataclasses.replace(opts, backend="python")
-        rungs.append(opts)
     return rungs
 
 
-def escalate_rung(
-    rung: int,
-    n_rungs: int,
-    attempt: int,
-    status: str,
-    error: Optional[str] = None,
-) -> int:
+def escalate_rung(rung: int, n_rungs: int, attempt: int) -> int:
     """Rung for the retry that follows a failed ``attempt`` (1-based).
 
     The first retry repeats the current rung -- a lone timeout or crash
     is as likely environmental as inherent.  From the second failure on,
-    each further failure steps one rung down.  A crash whose error
-    message implicates numpy jumps straight to the final (python-backend)
-    rung.
+    each further failure steps one rung down.
     """
     if n_rungs <= 1:
         return rung
-    if status == "crash" and error and "numpy" in error.lower():
-        return n_rungs - 1
     if attempt >= 2:
         return min(rung + 1, n_rungs - 1)
     return rung

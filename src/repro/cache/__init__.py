@@ -4,7 +4,7 @@ Two cache tiers over one content-addressed, self-verifying on-disk store
 (:class:`~repro.cache.store.DiskCacheStore`):
 
 * :class:`~repro.cache.results.ResultCache` -- whole batch-item records,
-  keyed by item content digest x audit flag x curve backend x code
+  keyed by item content digest x audit flag x convergence flag x code
   version (:func:`~repro.cache.results.result_key`);
 * :class:`~repro.cache.spill.CurveSpill` -- disk spill behind the
   in-process :class:`repro.curves.memo.CurveCache` for the hot

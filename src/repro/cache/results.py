@@ -7,10 +7,9 @@ narrows the digest to one context by mixing in everything that can
 legitimately change the emitted record without changing the item:
 
 * the **audit flag** -- audited records carry a ``violations`` block;
-* the **resolved curve backend** -- backends are bit-identical by
-  contract, but a contract violation must never be masked by a stale
-  cross-backend cache hit (the same reasoning as
-  :func:`repro.curves.memo.transform_key`);
+* the **convergence flag** -- ``AnalysisOptions.convergence`` attaches a
+  ``convergence`` block to the result, yet the item digest leaves it out
+  because it never changes a bound;
 * the **code version** -- any release may change bounds or the record
   schema, so entries written by other versions simply never match.
 
@@ -37,7 +36,7 @@ RESULTS_KIND = "results"
 def result_key(
     item_digest: str,
     audit: bool,
-    backend: str,
+    convergence: bool = False,
     code_version: Optional[str] = None,
 ) -> str:
     """Cache key for one item in one execution context (hex, 32 chars)."""
@@ -47,7 +46,8 @@ def result_key(
         from .. import __version__
 
         code_version = __version__
-    payload = f"{item_digest}:{int(bool(audit))}:{backend}:{code_version}"
+    flags = f"{int(bool(audit))}:{int(bool(convergence))}"
+    payload = f"{item_digest}:{flags}:{code_version}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
@@ -55,8 +55,8 @@ class ResultCache:
     """Whole-record cache over a :class:`~repro.cache.store.DiskCacheStore`.
 
     Thin by design: keys are computed by the caller (the batch engine,
-    which owns the audit/backend context), values are JSON record dicts,
-    and every integrity concern lives in the store.
+    which owns the audit/convergence context), values are JSON record
+    dicts, and every integrity concern lives in the store.
     """
 
     def __init__(self, store: DiskCacheStore) -> None:

@@ -83,7 +83,7 @@ def build_plan(
 
     ``ids``/``digests`` are the campaign's items in submission order;
     ``fingerprint`` is the unsharded campaign fingerprint (audit flag,
-    backend, code version, items digest).  Assignment is round-robin so
+    code version, items digest).  Assignment is round-robin so
     it needs no size estimates and is stable under re-planning.
     """
     if n_shards <= 0:
@@ -256,7 +256,7 @@ def merge_journals(
     buckets: Dict[str, List[Dict[str, Any]]] = {}
     for path in journal_paths:
         header, entries, _good, _total = BatchJournal.scan(path)
-        for key in ("audit", "backend", "code_version"):
+        for key in ("audit", "code_version"):
             if header.get(key) != fingerprint.get(key):
                 raise ShardError(
                     f"shard journal {path!r} was written with "

@@ -6,10 +6,9 @@ value)``) on top of a :class:`~repro.cache.store.DiskCacheStore`: every
 memoized kernel result (``service_transform``, ``sum_curves``, ...) is
 written through to disk, and an in-memory miss consults the disk before
 recomputing.  The memo key (:func:`repro.curves.memo.transform_key`)
-already digests the operator tag, the active backend name, every input
-curve's breakpoints and the scalar arguments -- so the disk entry is
-content-addressed by exactly the inputs that determine the output, and
-flipping backends or inputs simply misses.
+already digests the operator tag, every input curve's breakpoints and
+the scalar arguments -- so the disk entry is content-addressed by exactly
+the inputs that determine the output, and changed inputs simply miss.
 
 Curves are serialized as their breakpoint arrays plus final slope.
 Python floats round-trip exactly through JSON (``repr`` is the shortest
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..curves import _arrays, memo
+from ..curves import memo
 from ..curves.curve import Curve, CurveError
 from .store import DiskCacheStore
 
@@ -66,8 +65,8 @@ class CurveSpill:
             CURVES_KIND,
             key.hex(),
             {
-                "x": _arrays.tolist(value._x),
-                "y": _arrays.tolist(value._y),
+                "x": value._x.tolist(),
+                "y": value._y.tolist(),
                 "fs": value.final_slope,
                 "t": memo._curve_token(value).hex(),
             },

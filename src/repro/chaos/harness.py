@@ -18,8 +18,8 @@ tail between runs -- and finally resumes to completion.  It then asserts:
 * **Bounded retries**: no surviving record used more attempts than the
   retry policy allows.
 
-Campaign systems are built with :mod:`random` (stdlib) only, so the
-harness runs identically with or without numpy installed.
+Campaign systems are built with :mod:`random` (stdlib) from the seed
+alone, so the same seed always yields the same campaign.
 """
 
 from __future__ import annotations

@@ -112,15 +112,6 @@ def _add_compact_args(p: argparse.ArgumentParser) -> None:
         "(only relevant with --compact-budget/--compact-max-error)",
     )
     p.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "python"),
-        default="auto",
-        dest="backend",
-        help="curve kernel backend (bit-identical results either way); "
-        "'auto' keeps the process default (numpy when installed, or "
-        "the REPRO_CURVE_BACKEND environment variable)",
-    )
-    p.add_argument(
         "--convergence",
         action="store_true",
         dest="convergence",
@@ -162,16 +153,12 @@ def _options_from_args(args) -> Optional[AnalysisOptions]:
     budget = getattr(args, "compact_budget", None)
     max_error = getattr(args, "compact_max_error", None)
     no_warm = getattr(args, "no_warm_start", False)
-    backend = getattr(args, "backend", "auto")
     convergence = getattr(args, "convergence", False)
     cache_size = getattr(args, "cache_size", None)
-    if backend == "auto":
-        backend = None
     if (
         budget is None
         and max_error is None
         and not no_warm
-        and backend is None
         and not convergence
         and cache_size is None
     ):
@@ -185,7 +172,6 @@ def _options_from_args(args) -> Optional[AnalysisOptions]:
         compact_mode="error" if max_error is not None else "budget",
         compact_max_error=max_error,
         warm_start=not no_warm,
-        backend=backend,
         convergence=convergence,
         cache_size=cache_size,
     )
@@ -1049,7 +1035,6 @@ def _cmd_shard(args) -> int:
 def _cmd_shard_plan(args) -> int:
     from .batch.journal import campaign_fingerprint
     from .cache import ShardError, build_plan
-    from .curves import backend as _backend
     from .ioutil import write_json_atomic
 
     try:
@@ -1057,16 +1042,8 @@ def _cmd_shard_plan(args) -> int:
     except _ItemParseError as exc:
         print(exc, file=sys.stderr)
         return 2
-    options = _options_from_args(args)
-    digests = _item_digests(items, options)
-    backend = (
-        options.backend
-        if options is not None and options.backend is not None
-        else _backend.active_backend_name()
-    )
-    fingerprint = campaign_fingerprint(
-        digests, audit=args.audit, backend=backend
-    )
+    digests = _item_digests(items, _options_from_args(args))
+    fingerprint = campaign_fingerprint(digests, audit=args.audit)
     try:
         plan = build_plan(
             [it.item_id for it in items], digests, args.shards, fingerprint

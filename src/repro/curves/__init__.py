@@ -3,20 +3,11 @@
 See :mod:`repro.curves.curve` for the :class:`Curve` data type,
 :mod:`repro.curves.ops` for the min-plus operators used by the response
 time analysis (Theorems 3--9 of Li, Bettati & Zhao, ICPP 1998),
-:mod:`repro.curves.backend` for the pluggable numerical backends
-(``numpy`` / ``python``, bit-identical by contract), and
-:mod:`repro.curves.memo` for the opt-in memoization of the hot
+:mod:`repro.curves.kernels` for the vectorized numerical kernels behind
+both, and :mod:`repro.curves.memo` for the opt-in memoization of the hot
 :func:`service_transform` kernel.
 """
 
-from .backend import (
-    BackendError,
-    active_backend_name,
-    available_backends,
-    default_backend_name,
-    set_backend,
-    use_backend,
-)
 from .compact import MIN_BUDGET, compact, max_deviation
 from .curve import (
     EPS,
@@ -49,12 +40,6 @@ __all__ = [
     "Breakpoints",
     "Curve",
     "CurveError",
-    "BackendError",
-    "active_backend_name",
-    "available_backends",
-    "default_backend_name",
-    "set_backend",
-    "use_backend",
     "audit_checks",
     "audit_checks_enabled",
     "set_audit_checks",

@@ -64,10 +64,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-try:  # Compaction is numpy-only; the curve core itself runs without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on zero-dep installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..obs import metrics as _obs_metrics
 from . import memo
@@ -136,11 +133,6 @@ def compact(
 
     if budget is not None and curve.n_breakpoints <= budget:
         return curve
-    if np is None:
-        raise CurveError(
-            "curve compaction requires numpy; install it or disable "
-            "compaction (it is off by default)"
-        )
     if np.unique(curve.breakpoints().x).size <= 2:
         return curve
 

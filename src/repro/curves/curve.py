@@ -26,13 +26,9 @@ Curves are constructed through the factories --
 paper's arrival/workload step functions, :meth:`Curve.from_token_bucket`
 / :meth:`Curve.affine` for Cruz ``(sigma, rho)`` envelopes, plus
 :meth:`Curve.zero`, :meth:`Curve.constant` and :meth:`Curve.identity`.
-The legacy positional constructor ``Curve(x, y, ...)`` still works but
-emits a :class:`DeprecationWarning`.
 
-The numerical kernels behind evaluation, the pseudo-inverse and the curve
-operators live in :mod:`repro.curves.backend` and are dispatched through
-the process-wide active backend (``numpy`` when available, ``python`` for
-zero-dependency installs); all backends produce bit-identical curves.
+The numerical kernels behind construction, evaluation and the
+pseudo-inverse live in :mod:`repro.curves.kernels`.
 
 The class deliberately exposes both right-continuous evaluation
 (:meth:`Curve.value`) and left limits (:meth:`Curve.value_left`): the
@@ -46,12 +42,13 @@ right-continuous reading.  See DESIGN.md section 3.
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence, Tuple, Union
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from . import _arrays
-from . import backend as _backend
+import numpy as np
+
+from . import kernels
+from .kernels import EPS, CurveError
 
 __all__ = [
     "Breakpoints",
@@ -62,9 +59,6 @@ __all__ = [
     "audit_checks_enabled",
     "set_audit_checks",
 ]
-
-#: Absolute tolerance used when canonicalizing and comparing breakpoints.
-EPS = 1e-9
 
 ArrayLike = Union[float, Sequence[float], Any]
 
@@ -98,16 +92,11 @@ def audit_checks(enabled: bool = True) -> Iterator[None]:
         set_audit_checks(previous)
 
 
-class CurveError(ValueError):
-    """Raised when curve data violates the class invariants."""
-
-
 class Breakpoints(NamedTuple):
     """Read-only view of a curve's breakpoint arrays (parallel ``x``/``y``).
 
-    The arrays are the curve's frozen storage -- NumPy arrays with the
-    writeable flag cleared, or plain tuples on pure-python installs.  Do
-    not mutate them; copy first if you need scratch space.
+    The arrays are the curve's frozen storage -- float64 NumPy arrays
+    with the writeable flag cleared.  Copy them before modifying.
     """
 
     x: Any
@@ -132,37 +121,6 @@ class Curve:
 
     __slots__ = ("_x", "_y", "_final_slope", "_memo_token")
 
-    def __init__(
-        self,
-        x: ArrayLike,
-        y: ArrayLike,
-        final_slope: float = 0.0,
-        *,
-        canonicalize: bool = True,
-    ) -> None:
-        warnings.warn(
-            "direct Curve(x, y, ...) construction is deprecated; use "
-            "Curve.from_breakpoints(x, y, ...) (or from_staircase / "
-            "from_token_bucket for the common shapes)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init_from(x, y, final_slope, canonicalize)
-
-    def _init_from(
-        self, x: ArrayLike, y: ArrayLike, final_slope: float, canonicalize: bool
-    ) -> None:
-        xs, ys, fs = _backend.active_backend().normalize(
-            x, y, final_slope, canonicalize
-        )
-        self._x = _arrays.freeze(xs)
-        self._y = _arrays.freeze(ys)
-        self._final_slope = fs
-        #: Lazily computed breakpoint digest (see :mod:`repro.curves.memo`).
-        self._memo_token = None
-        if _AUDIT_CHECKS:
-            self.check_invariants()
-
     # ------------------------------------------------------------------
     # construction (factories)
     # ------------------------------------------------------------------
@@ -175,9 +133,18 @@ class Curve:
         final_slope: float = 0.0,
         canonicalize: bool = True,
     ) -> "Curve":
-        """Internal constructor (no deprecation shim) used by the package."""
+        """Internal constructor behind every factory and operator."""
+        xs, ys, fs = kernels.normalize(x, y, final_slope, canonicalize)
+        xs.flags.writeable = False
+        ys.flags.writeable = False
         self = object.__new__(cls)
-        self._init_from(x, y, final_slope, canonicalize)
+        self._x = xs
+        self._y = ys
+        self._final_slope = fs
+        #: Lazily computed breakpoint digest (see :mod:`repro.curves.memo`).
+        self._memo_token = None
+        if _AUDIT_CHECKS:
+            self.check_invariants()
         return self
 
     @classmethod
@@ -256,7 +223,7 @@ class Curve:
         given times.  Simultaneous releases merge into a single taller jump.
         An empty time sequence yields the zero curve.
         """
-        raw = _backend.active_backend().step_from_times(times, height)
+        raw = kernels.step_from_times(times, height)
         if raw is None:
             return cls.zero()
         xs, ys = raw
@@ -280,26 +247,6 @@ class Curve:
         """Slope of the curve beyond the last breakpoint."""
         return self._final_slope
 
-    @property
-    def x(self):
-        """Deprecated alias of ``breakpoints().x``."""
-        warnings.warn(
-            "Curve.x is deprecated; use Curve.breakpoints().x",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._x
-
-    @property
-    def y(self):
-        """Deprecated alias of ``breakpoints().y``."""
-        warnings.warn(
-            "Curve.y is deprecated; use Curve.breakpoints().y",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._y
-
     def check_invariants(self) -> None:
         """Verify the class invariants, raising :class:`CurveError` if broken.
 
@@ -317,14 +264,12 @@ class Curve:
         activated globally via :func:`set_audit_checks` /
         :func:`audit_checks`.
         """
-        _backend.active_backend().check_invariants(
-            self._x, self._y, self._final_slope
-        )
+        kernels.check_invariants(self._x, self._y, self._final_slope)
 
     @property
     def n_breakpoints(self) -> int:
         """Number of stored breakpoints."""
-        return _arrays.size(self._x)
+        return int(self._x.size)
 
     @property
     def x_end(self) -> float:
@@ -338,21 +283,17 @@ class Curve:
 
     def is_step(self, tol: float = EPS) -> bool:
         """True if the curve is piecewise constant (only jumps, no ramps)."""
-        return _backend.active_backend().is_step(
-            self._x, self._y, self._final_slope, tol
-        )
+        return kernels.is_step(self._x, self._y, self._final_slope, tol)
 
     def is_continuous(self, tol: float = EPS) -> bool:
         """True if the curve has no jumps."""
-        return _backend.active_backend().is_continuous(self._x, self._y, tol)
+        return kernels.is_continuous(self._x, self._y, tol)
 
     def lipschitz_bound(self) -> float:
         """Maximum slope over all ramp segments (``inf`` if any jump)."""
         if not self.is_continuous():
             return math.inf
-        return _backend.active_backend().lipschitz(
-            self._x, self._y, self._final_slope
-        )
+        return kernels.lipschitz(self._x, self._y, self._final_slope)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -365,11 +306,7 @@ class Curve:
         ``y[0]`` (callers should not query negative times; this keeps the
         function total).
         """
-        scalar = _arrays.is_scalar(t)
-        out = _backend.active_backend().eval_right(
-            self._x, self._y, self._final_slope, _arrays.asarray(t)
-        )
-        return float(out[0]) if scalar else out
+        return self._query(kernels.eval_right, t)
 
     def value_left(self, t: ArrayLike):
         """Left limit(s) ``f(t-)`` of the curve at time(s) ``t``.
@@ -377,11 +314,7 @@ class Curve:
         ``f(0-)`` is defined as the pre-jump value ``y[0]`` (zero for all
         cumulative curves built by this package).
         """
-        scalar = _arrays.is_scalar(t)
-        out = _backend.active_backend().eval_left(
-            self._x, self._y, self._final_slope, _arrays.asarray(t)
-        )
-        return float(out[0]) if scalar else out
+        return self._query(kernels.eval_left, t)
 
     def first_crossing(self, v: ArrayLike):
         """Pseudo-inverse ``min{s : f(s) >= v}`` (paper Definition 5).
@@ -390,11 +323,7 @@ class Curve:
         curve built from release times, ``first_crossing(m)`` is exactly the
         release time of the ``m``-th instance (paper Eq. 3).
         """
-        scalar = _arrays.is_scalar(v)
-        out = _backend.active_backend().first_crossing(
-            self._x, self._y, self._final_slope, _arrays.asarray(v)
-        )
-        return float(out[0]) if scalar else out
+        return self._query(kernels.first_crossing, v)
 
     def last_below(self, v: ArrayLike):
         """Supremum of ``{t : f(t) <= v}`` (``inf`` when unbounded).
@@ -403,11 +332,14 @@ class Curve:
         to turn ``f(C) <= X`` into an upper bound on ``C``.  Returns 0 when
         even ``f(0) > v``.
         """
-        scalar = _arrays.is_scalar(v)
-        out = _backend.active_backend().last_below(
-            self._x, self._y, self._final_slope, _arrays.asarray(v)
-        )
-        return float(out[0]) if scalar else out
+        return self._query(kernels.last_below, v)
+
+    def _query(self, kernel, q: ArrayLike):
+        """Apply a point kernel: a float for a scalar query, else an array."""
+        qs = np.asarray(q, dtype=float)
+        if qs.ndim == 0:
+            return float(kernel(self._x, self._y, self._final_slope, qs.reshape(1))[0])
+        return kernel(self._x, self._y, self._final_slope, qs)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -419,7 +351,7 @@ class Curve:
             raise CurveError("scale factor must be non-negative")
         return Curve._build(
             self._x,
-            _arrays.mul(self._y, factor),
+            self._y * factor,
             self._final_slope * factor,
             canonicalize=False,
         )
@@ -434,8 +366,8 @@ class Curve:
         if delta == 0:
             return self
         base = float(self._y[0])
-        xs = _arrays.concat([[0.0], _arrays.add(self._x, delta)])
-        ys = _arrays.concat([[base], self._y])
+        xs = np.concatenate(([0.0], self._x + delta))
+        ys = np.concatenate(([base], self._y))
         return Curve._build(xs, ys, self._final_slope)
 
     def shift_y(self, delta: float) -> "Curve":
@@ -444,7 +376,7 @@ class Curve:
             raise CurveError("y-shift must be non-negative")
         return Curve._build(
             self._x,
-            _arrays.add(self._y, delta),
+            self._y + delta,
             self._final_slope,
             canonicalize=False,
         )
@@ -460,7 +392,7 @@ class Curve:
 
     def jump_times(self, tol: float = EPS):
         """Abscissae of the curve's upward jumps, in increasing order."""
-        return _backend.active_backend().jump_times(self._x, self._y, tol)
+        return kernels.jump_times(self._x, self._y, tol)
 
     def steps(self):
         """Decompose a step curve into (piece boundaries, piece values).
@@ -472,7 +404,7 @@ class Curve:
         """
         if not self.is_step():
             raise CurveError("steps() requires a piecewise-constant curve")
-        jumps = _arrays.tolist(self.jump_times())
+        jumps = self.jump_times().tolist()
         if jumps and jumps[0] <= EPS:
             boundaries = jumps
         else:
@@ -481,7 +413,7 @@ class Curve:
             boundaries = [0.0] + boundaries
         boundaries = sorted(set(b if b > 0.0 else 0.0 for b in boundaries))
         values = self.value(boundaries)
-        return _arrays.asarray(boundaries), _arrays.asarray(values)
+        return np.asarray(boundaries, dtype=float), values
 
     def total_at(self, horizon: float) -> float:
         """Convenience alias for ``value(horizon)``."""
@@ -502,7 +434,7 @@ class Curve:
         if m_max <= 0:
             return Curve.zero()
         levels = [quantum * m for m in range(1, m_max + 1)]
-        times = _arrays.tolist(self.first_crossing(levels))
+        times = self.first_crossing(levels).tolist()
         times = [t for t in times if math.isfinite(t)]
         if not times:
             return Curve.zero()
@@ -519,27 +451,24 @@ class Curve:
         on the union of their breakpoints and segment midpoints, which is
         what this grid provides for property tests.
         """
-        pts = list(_arrays.tolist(self._x))
+        pts = self._x.tolist()
         if len(pts) > 1:
-            pts.extend(_arrays.tolist(_arrays.midpoints(self._x)))
+            pts.extend(((self._x[:-1] + self._x[1:]) / 2.0).tolist())
         pts.extend(float(v) for v in extra)
         pts.append(self.x_end + 1.0)
         grid = sorted(set(pts))
-        return _arrays.asarray([v for v in grid if v >= 0.0])
+        return np.asarray([v for v in grid if v >= 0.0], dtype=float)
 
     def dominates(self, other: "Curve", tol: float = 1e-7) -> bool:
         """True if ``self(t) >= other(t) - tol`` for all ``t``."""
         grid = sorted(
-            set(
-                _arrays.tolist(self.sample_points())
-                + _arrays.tolist(other.sample_points())
-            )
+            set(self.sample_points().tolist() + other.sample_points().tolist())
         )
         a = self.value(grid)
         b = other.value(grid)
         al = self.value_left(grid)
         bl = other.value_left(grid)
-        return _arrays.all_ge(a, b, tol) and _arrays.all_ge(al, bl, tol)
+        return bool(np.all(a >= b - tol) and np.all(al >= bl - tol))
 
     def approx_equal(self, other: "Curve", tol: float = 1e-7) -> bool:
         """True if the two curves agree pointwise within ``tol``."""
@@ -556,7 +485,7 @@ class Curve:
         pts = ", ".join(
             f"({xi:g},{yi:g})" for xi, yi in zip(self._x[:6], self._y[:6])
         )
-        n = _arrays.size(self._x)
+        n = int(self._x.size)
         more = "..." if n > 6 else ""
         return (
             f"Curve([{pts}{more}], final_slope={self._final_slope:g}, "

@@ -39,8 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
-from . import _arrays
-from . import backend as _backend
+import numpy as np
 
 __all__ = [
     "CacheStats",
@@ -251,8 +250,8 @@ def _curve_token(curve) -> bytes:
     token = curve._memo_token
     if token is None:
         h = hashlib.blake2b(digest_size=16)
-        h.update(_arrays.tobytes(curve._x))
-        h.update(_arrays.tobytes(curve._y))
+        h.update(np.ascontiguousarray(curve._x, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(curve._y, dtype="<f8").tobytes())
         h.update(struct.pack("<d", curve.final_slope))
         token = h.digest()
         curve._memo_token = token
@@ -260,18 +259,9 @@ def _curve_token(curve) -> bytes:
 
 
 def transform_key(op: bytes, curves, scalars) -> bytes:
-    """Key for an operator application: op tag + curve digests + scalars.
-
-    The active backend's name is mixed into every key: backends are
-    bit-identical by contract, but entries computed under one backend must
-    never satisfy lookups under another -- a backend-selection bug (or a
-    contract violation) would otherwise be masked by stale cache hits and
-    become unreproducible.  Flipping backends mid-process therefore simply
-    misses and recomputes.
-    """
+    """Key for an operator application: op tag + curve digests + scalars."""
     h = hashlib.blake2b(digest_size=16)
     h.update(op)
-    h.update(_backend.active_backend_name().encode("ascii"))
     for curve in curves:
         h.update(_curve_token(curve))
     h.update(struct.pack(f"<{len(scalars)}d", *scalars))

@@ -16,10 +16,8 @@ over the constant pieces ``(p_j, v_j)`` of ``c``, the kernel becomes
 and piecewise linear, so ``S`` is materialized exactly on the union of the
 breakpoints of ``B`` and the (lag-shifted) kinks of ``R``.
 
-This module is the *dispatch* layer: validation, memoization and
-observability live here, while the numerical kernels live in
-:mod:`repro.curves.backend` and are selected through the process-wide
-active backend (``numpy`` / ``python``, bit-identical by contract).
+This module wraps the numerical kernels of :mod:`repro.curves.kernels`
+with validation, memoization and observability.
 """
 
 from __future__ import annotations
@@ -28,10 +26,9 @@ import math
 import time
 from typing import List, Sequence, Tuple
 
-from . import _arrays, memo
+from . import kernels, memo
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
-from .backend import active_backend, active_backend_name
 from .curve import EPS, Curve, CurveError
 
 __all__ = [
@@ -44,29 +41,26 @@ __all__ = [
 ]
 
 
-def _run_op(op: str, impl, *args):
-    """Run a curve-op implementation under optional observability.
+def _run_op(op: str, kernel, *args) -> Curve:
+    """Run a curve-valued kernel and build its result, under observability.
 
     With neither an active metrics registry nor detail-level tracing this
-    is a plain call -- one global load per operator application.  When
-    enabled it times the computation into the ``repro_curve_op_seconds``
-    histogram (labelled with the active backend) and (under ``detail``
-    tracing) records one retroactive span per computed operator, parented
-    to whatever analysis span is open.  Cache *hits* deliberately get a
-    counter but no span: the lookup is cheaper than the span it would
-    produce.
+    is a plain call.  When enabled it times the computation (kernel plus
+    curve construction) into the ``repro_curve_op_seconds`` histogram and
+    (under ``detail`` tracing) records one retroactive span per computed
+    operator, parented to whatever analysis span is open.  Cache *hits*
+    deliberately get a counter but no span: the lookup is cheaper than
+    the span it would produce.
     """
     registry = _obs_metrics.active_metrics()
     detail = _obs_trace.detail_enabled()
     if registry is None and not detail:
-        return impl(*args)
+        return Curve._build(*kernel(*args))
     t0 = time.perf_counter()
-    result = impl(*args)
+    result = Curve._build(*kernel(*args))
     dt = time.perf_counter() - t0
     if registry is not None:
-        registry.observe(
-            "repro_curve_op_seconds", dt, op=op, backend=active_backend_name()
-        )
+        registry.observe("repro_curve_op_seconds", dt, op=op)
     if detail:
         _obs_trace.active_collector().record("curve." + op, t0, dt, {"op": op})
     return result
@@ -96,16 +90,15 @@ def sum_curves(curves: Sequence[Curve]) -> Curve:
         return Curve.zero()
     if len(curves) == 1:
         return curves[0]
-    backend = active_backend()
     cache = memo.active_curve_cache()
     if cache is None:
-        return _run_op("sum_curves", backend.sum_curves, curves)
+        return _run_op("sum_curves", kernels.sum_curves, curves)
     key = memo.transform_key(b"sum_curves", curves, ())
     hit = cache.get(key)
     _count_cache("sum_curves", hit is not None)
     if hit is not None:
         return hit
-    result = _run_op("sum_curves", backend.sum_curves, curves)
+    result = _run_op("sum_curves", kernels.sum_curves, curves)
     cache.put(key, result)
     return result
 
@@ -116,7 +109,7 @@ def min_curves(a: Curve, b: Curve) -> Curve:
     Segment crossings are detected and inserted so the result is an exact
     piecewise-linear representation of ``min(a, b)``.
     """
-    return active_backend().min_curves(a, b)
+    return Curve._build(*kernels.min_curves(a, b))
 
 
 def identity_minus(total: Curve, lateness: float = 0.0, mode: str = "exact") -> Curve:
@@ -148,11 +141,10 @@ def identity_minus(total: Curve, lateness: float = 0.0, mode: str = "exact") -> 
         raise CurveError("lateness must be non-negative")
     if mode not in ("exact", "lower", "upper"):
         raise CurveError(f"unknown mode {mode!r}")
-    backend = active_backend()
     cache = memo.active_curve_cache()
     if cache is None:
         return _run_op(
-            "identity_minus", backend.identity_minus, total, lateness, mode
+            "identity_minus", kernels.identity_minus, total, lateness, mode
         )
     key = memo.transform_key(
         b"identity_minus:" + mode.encode(), (total,), (lateness,)
@@ -162,7 +154,7 @@ def identity_minus(total: Curve, lateness: float = 0.0, mode: str = "exact") -> 
     if hit is not None:
         return hit
     result = _run_op(
-        "identity_minus", backend.identity_minus, total, lateness, mode
+        "identity_minus", kernels.identity_minus, total, lateness, mode
     )
     cache.put(key, result)
     return result
@@ -205,11 +197,10 @@ def service_transform(
         raise CurveError("lag must be non-negative")
     if not math.isfinite(t_end):
         t_end = max(B.x_end, c.x_end) + 1.0
-    backend = active_backend()
     cache = memo.active_curve_cache()
     if cache is None:
         return _run_op(
-            "service_transform", backend.service_transform, B, c, lag, t_end
+            "service_transform", kernels.service_transform, B, c, lag, t_end
         )
     key = memo.transform_key(b"service_transform", (B, c), (lag, t_end))
     hit = cache.get(key)
@@ -217,7 +208,7 @@ def service_transform(
     if hit is not None:
         return hit
     result = _run_op(
-        "service_transform", backend.service_transform, B, c, lag, t_end
+        "service_transform", kernels.service_transform, B, c, lag, t_end
     )
     cache.put(key, result)
     return result
@@ -255,8 +246,8 @@ def fcfs_service_bounds(
     if U is None:
         U = fcfs_utilization(G, t_end=t_end)
     p_arr, gv_arr = G.steps()
-    p = _arrays.tolist(p_arr)
-    gv = _arrays.tolist(gv_arr)
+    p = p_arr.tolist()
+    gv = gv_arr.tolist()
     pairs = [(pi, gi) for pi, gi in zip(p, gv) if pi <= t_end + EPS]
     # Drop the implicit zero-level piece at t=0 when G has no jump there.
     levels = [gi for _, gi in pairs if gi > EPS]
@@ -264,7 +255,7 @@ def fcfs_service_bounds(
     if not levels:
         lower = Curve.zero()
         return lower, min_curves(lower.shift_y(tau), c)
-    t_done = _arrays.tolist(U.first_crossing(levels))
+    t_done = U.first_crossing(levels).tolist()
     xs: List[float] = [0.0]
     ys: List[float] = [0.0]
     for tb, pj in zip(t_done, times_of_batches):

@@ -100,27 +100,6 @@ def test_default_path_matches_golden(case_name):
         )
 
 
-def test_python_backend_matches_golden():
-    """The pure-python curve backend reproduces the golden pin bit-for-bit.
-
-    The golden file was generated with the vectorized (numpy) kernels;
-    running one representative case per generator kind under
-    ``use_backend("python")`` checks the backends' bit-identity contract
-    end-to-end through a full analysis, not just per-kernel.
-    """
-    from repro.curves import use_backend
-
-    golden = _load_golden()
-    with use_backend("python"):
-        for case_name in ("periodic_mixed", "bursty_spnp"):
-            current = _compute(case_name)
-            for method in sorted(METHODS):
-                assert current[method] == golden[case_name][method], (
-                    f"{case_name}/{method}: python backend diverged from "
-                    f"the golden (numpy-computed) results"
-                )
-
-
 def _regen() -> None:
     data = {name: _compute(name) for name, *_ in CASES}
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

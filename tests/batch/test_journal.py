@@ -59,13 +59,9 @@ class TestDigests:
         d1, d2 = item_digest(small_system()), item_digest(doomed_system())
         assert _fingerprint([d1, d2]) == _fingerprint([d2, d1])
 
-    def test_fingerprint_covers_audit_and_backend(self):
+    def test_fingerprint_covers_audit(self):
         d = [item_digest(small_system())]
         assert _fingerprint(d, audit=True) != _fingerprint(d, audit=False)
-        assert (
-            _fingerprint(d, backend="python")["backend"]
-            != _fingerprint(d, backend="numpy")["backend"]
-        )
 
     def test_fingerprint_shape(self):
         fp = _fingerprint([item_digest(small_system())])

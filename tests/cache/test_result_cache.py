@@ -26,22 +26,18 @@ def _lines(report):
 
 class TestResultKey:
     def test_every_context_axis_changes_the_key(self):
-        base = result_key("d1", audit=False, backend="numpy",
-                          code_version="1.0")
-        assert result_key("d2", audit=False, backend="numpy",
+        base = result_key("d1", audit=False, code_version="1.0")
+        assert result_key("d2", audit=False, code_version="1.0") != base
+        assert result_key("d1", audit=True, code_version="1.0") != base
+        assert result_key("d1", audit=False, convergence=True,
                           code_version="1.0") != base
-        assert result_key("d1", audit=True, backend="numpy",
-                          code_version="1.0") != base
-        assert result_key("d1", audit=False, backend="python",
-                          code_version="1.0") != base
-        assert result_key("d1", audit=False, backend="numpy",
-                          code_version="1.1") != base
+        assert result_key("d1", audit=False, code_version="1.1") != base
 
     def test_default_version_is_current_code(self):
         from repro import __version__
 
-        assert result_key("d", audit=False, backend="numpy") == result_key(
-            "d", audit=False, backend="numpy", code_version=__version__
+        assert result_key("d", audit=False) == result_key(
+            "d", audit=False, code_version=__version__
         )
 
 
@@ -85,6 +81,29 @@ class TestWarmRun:
         ).run(_items(n=3))
         assert strict.n_cached == 0
 
+    def test_convergence_flip_misses_both_ways(self, tmp_path):
+        # The item digest drops the telemetry-only convergence flag, but
+        # the flag adds a ``convergence`` block to every record, so a
+        # record must never be served across a flip in either direction.
+        def run(cache_dir, convergence):
+            options = AnalysisOptions(compact_budget=64, convergence=convergence)
+            items = [
+                BatchItem(system=it.system, method="Fixpoint/App",
+                          item_id=it.item_id)
+                for it in _items(n=3)
+            ]
+            return BatchEngine(cache_dir=cache_dir, options=options).run(items)
+
+        for first, second in ((True, False), (False, True)):
+            cache_dir = str(tmp_path / f"cache-{first}")
+            cold = run(cache_dir, first)
+            assert cold.n_ok == len(cold) == 3
+            flipped = run(cache_dir, second)
+            assert flipped.n_cached == 0
+            for record in flipped:
+                assert ("convergence" in record.to_dict()["result"]) == second
+            assert run(cache_dir, second).n_cached == 3
+
     def test_code_version_flip_misses(self, tmp_path, monkeypatch):
         import repro
 
@@ -105,6 +124,24 @@ class TestWarmRun:
             cache_dir=cache_dir, options=AnalysisOptions(cache_size=7)
         ).run(_items(n=3))
         assert warm.n_cached == 3
+
+
+class TestTracedPool:
+    def test_traced_pool_run_fills_the_result_tier(self, tmp_path):
+        from repro.obs import observe
+
+        cache_dir = str(tmp_path / "cache")
+        items = _items(n=4)
+        with observe(force_trace=True, force_metrics=True):
+            traced = BatchEngine(n_workers=2, cache_dir=cache_dir).run(items)
+        assert all(r.trace is not None and r.metrics is not None for r in traced)
+        warm = BatchEngine(n_workers=2, cache_dir=cache_dir).run(_items(n=4))
+        assert warm.n_cached == len(warm) == 4
+        for a, b in zip(traced, warm):
+            expected = a.to_dict()
+            expected.pop("trace")
+            expected.pop("metrics")
+            assert b.to_dict() == expected
 
 
 class TestCorruption:

@@ -19,7 +19,6 @@ from repro.obs.status import STATUS_KIND, STATUS_SCHEMA_VERSION
 
 FINGERPRINT = {
     "audit": False,
-    "backend": "numpy",
     "code_version": "1.0",
     "items": "feed" * 8,
 }

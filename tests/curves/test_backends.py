@@ -1,45 +1,27 @@
-"""Backend registry, selection, and numpy/python bit-identity contract.
+"""Byte-identity of the vectorized curve kernels against a scalar oracle.
 
-The two curve backends must produce *byte-identical* curves for every
-kernel -- not merely approximately equal ones.  The property tests here
-drive each kernel under both backends on hypothesis-generated curves and
-compare raw breakpoint storage.  The registry tests cover selection
-(process-wide, scoped, environment) and the deprecation shims of the old
-constructor surface.
+Every kernel must produce *byte-identical* output to the scalar
+reference implementation in ``reference.py`` -- not merely approximately
+equal output.  The property tests here drive each kernel on
+hypothesis-generated curves and compare raw breakpoint storage; one
+deterministic case pins the scalar fallback inside ``service_transform``,
+which the generated curves never reach.
 """
 
-import os
-import subprocess
-import sys
-import warnings
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from repro.curves import (
+    EPS,
     Curve,
-    BackendError,
-    active_backend_name,
-    available_backends,
-    curve_cache,
-    default_backend_name,
     identity_minus,
     service_transform,
-    set_backend,
     sum_curves,
-    use_backend,
 )
-from repro.curves.backend import get_backend
+from repro.curves.kernels import _running_min_branch_fast
 from repro.curves.ops import fcfs_service_bounds, min_curves
-
-#: Bit-identity and selection tests need both backends; under a numpy-less
-#: interpreter (or REPRO_CURVES_PURE_PYTHON=1) only "python" exists.
-needs_numpy = pytest.mark.skipif(
-    "numpy" not in available_backends(),
-    reason="numpy backend unavailable (no numpy or forced pure-python mode)",
-)
 
 # -- strategies ------------------------------------------------------------
 
@@ -61,11 +43,11 @@ def step_curves(draw):
 def raw_breakpoint_data(draw):
     """Raw (xs, ys, final_slope) of a non-decreasing PLF.
 
-    Kept un-normalized so construction tests can feed the *same* input to
-    both backends; canonicalization is not idempotent in general (the seed
-    collapses e.g. an all-flat ramp differently on a second pass), so
+    Kept un-normalized so construction tests feed the *same* input to the
+    kernel and the oracle; canonicalization is not idempotent in general
+    (an all-flat ramp collapses differently on a second pass), so
     comparing a once-normalized curve against a rebuilt one would test
-    idempotency, not backend identity.
+    idempotency, not the kernel.
     """
     n = draw(st.integers(min_value=1, max_value=12))
     dx = draw(st.lists(st.floats(min_value=0.0, max_value=5.0),
@@ -94,184 +76,78 @@ query_lists = st.lists(
 )
 
 
-def _bytes(curve):
-    bp = curve.breakpoints()
+def _bytes(xs, ys, fs):
     return (
-        np.asarray(bp.x).tobytes(),
-        np.asarray(bp.y).tobytes(),
-        curve.final_slope,
+        np.asarray(xs, dtype=float).tobytes(),
+        np.asarray(ys, dtype=float).tobytes(),
+        fs,
     )
 
 
-def assert_identical(a: Curve, b: Curve):
-    assert _bytes(a) == _bytes(b)
+def assert_matches(curve: Curve, want: ref.Table):
+    """``curve`` has exactly the oracle's breakpoints and final slope."""
+    bp = curve.breakpoints()
+    assert _bytes(bp.x, bp.y, curve.final_slope) == _bytes(*want)
 
 
-# -- registry and selection ------------------------------------------------
+def assert_same_floats(got, want):
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(
+        want, dtype=float
+    ).tobytes()
 
 
-@needs_numpy
-def test_known_backends_are_available():
-    names = available_backends()
-    assert "python" in names
-    assert "numpy" in names  # numpy is installed in the test environment
+# -- construction and normalization ----------------------------------------
 
 
-@needs_numpy
-def test_default_backend_prefers_numpy():
-    assert default_backend_name() == "numpy"
-    assert active_backend_name() in available_backends()
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(BackendError):
-        get_backend("fortran")
-    with pytest.raises(BackendError):
-        set_backend("fortran")
-
-
-@needs_numpy
-def test_use_backend_scopes_and_restores():
-    before = active_backend_name()
-    with use_backend("python") as b:
-        assert b.name == "python"
-        assert active_backend_name() == "python"
-        with use_backend("numpy"):
-            assert active_backend_name() == "numpy"
-        assert active_backend_name() == "python"
-    assert active_backend_name() == before
-
-
-def test_set_backend_returns_previous():
-    before = active_backend_name()
-    previous = set_backend("python")
-    try:
-        assert previous == before
-        assert active_backend_name() == "python"
-    finally:
-        set_backend(previous)
-
-
-def test_env_var_selects_default_backend():
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from repro.curves import active_backend_name;"
-         "print(active_backend_name())"],
-        env={**os.environ, "REPRO_CURVE_BACKEND": "python",
-             "PYTHONPATH": "src"},
-        capture_output=True,
-        text=True,
-        cwd=os.path.join(os.path.dirname(__file__), "..", ".."),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"
-
-
-# -- deprecation shims -----------------------------------------------------
-
-
-def test_direct_construction_is_deprecated_but_works():
-    with pytest.warns(DeprecationWarning, match="from_breakpoints"):
-        c = Curve([0.0, 1.0], [0.0, 2.0], final_slope=0.5)
-    assert c.value(1.0) == 2.0
-
-
-def test_x_y_attribute_reads_are_deprecated():
-    c = Curve.from_breakpoints([0.0, 1.0], [0.0, 2.0])
-    with pytest.warns(DeprecationWarning, match="breakpoints"):
-        xs = c.x
-    with pytest.warns(DeprecationWarning, match="breakpoints"):
-        ys = c.y
-    assert np.allclose(np.asarray(xs), [0.0, 1.0])
-    assert np.allclose(np.asarray(ys), [0.0, 2.0])
-
-
-def test_factories_do_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        Curve.from_breakpoints([0.0, 1.0], [0.0, 1.0], final_slope=1.0)
-        Curve.from_staircase([1.0, 2.0], 1.0)
-        Curve.from_token_bucket(rate=1.0, burst=2.0)
-        Curve.step_from_times([1.0], 1.0)
-        Curve.zero()
-        Curve.identity()
-
-
-# -- numpy/python bit-identity: construction and normalization -------------
-
-
-@needs_numpy
 @settings(max_examples=80)
 @given(raw_breakpoint_data())
 def test_normalize_bit_identical(data):
     xs, ys, fs = data
-    with use_backend("numpy"):
-        a = Curve.from_breakpoints(xs, ys, fs)
-    with use_backend("python"):
-        b = Curve.from_breakpoints(xs, ys, fs)
-    assert_identical(a, b)
+    assert_matches(Curve.from_breakpoints(xs, ys, fs), ref.normalize(xs, ys, fs))
 
 
-@needs_numpy
 @settings(max_examples=80)
 @given(times_strategy, st.floats(min_value=0.05, max_value=3.0))
 def test_step_from_times_bit_identical(times, height):
-    with use_backend("numpy"):
-        a = Curve.step_from_times(times, height)
-    with use_backend("python"):
-        b = Curve.step_from_times(times, height)
-    assert_identical(a, b)
+    assert_matches(
+        Curve.step_from_times(times, height), ref.step_from_times(times, height)
+    )
 
 
-# -- numpy/python bit-identity: the five kernels ---------------------------
+# -- point kernels ---------------------------------------------------------
 
 
-@needs_numpy
 @settings(max_examples=80)
 @given(any_curves, query_lists)
 def test_eval_kernels_bit_identical(c, ts):
     q = np.asarray(ts, dtype=float)
-    with use_backend("numpy"):
-        nv, nl = np.asarray(c.value(q)), np.asarray(c.value_left(q))
-    with use_backend("python"):
-        pv, pl = np.asarray(c.value(q)), np.asarray(c.value_left(q))
-    assert nv.tobytes() == pv.tobytes()
-    assert nl.tobytes() == pl.tobytes()
+    assert_same_floats(c.value(q), ref.eval_right(ref.table(c), ts))
+    assert_same_floats(c.value_left(q), ref.eval_left(ref.table(c), ts))
 
 
-@needs_numpy
 @settings(max_examples=80)
 @given(any_curves, query_lists)
 def test_inverse_kernels_bit_identical(c, vs):
     q = np.asarray(vs, dtype=float)
-    with use_backend("numpy"):
-        nf, nb = np.asarray(c.first_crossing(q)), np.asarray(c.last_below(q))
-    with use_backend("python"):
-        pf, pb = np.asarray(c.first_crossing(q)), np.asarray(c.last_below(q))
-    assert nf.tobytes() == pf.tobytes()
-    assert nb.tobytes() == pb.tobytes()
+    assert_same_floats(c.first_crossing(q), ref.first_crossing(ref.table(c), vs))
+    assert_same_floats(c.last_below(q), ref.last_below(ref.table(c), vs))
 
 
-@needs_numpy
+# -- curve-valued operators ------------------------------------------------
+
+
 @settings(max_examples=60)
 @given(st.lists(any_curves, min_size=2, max_size=4))
 def test_sum_curves_bit_identical(curves):
-    with use_backend("numpy"):
-        a = sum_curves(curves)
-    with use_backend("python"):
-        b = sum_curves(curves)
-    assert_identical(a, b)
+    assert_matches(
+        sum_curves(curves), ref.sum_curves([ref.table(c) for c in curves])
+    )
 
 
-@needs_numpy
 @settings(max_examples=60)
 @given(any_curves, any_curves)
 def test_min_curves_bit_identical(c1, c2):
-    with use_backend("numpy"):
-        a = min_curves(c1, c2)
-    with use_backend("python"):
-        b = min_curves(c1, c2)
-    assert_identical(a, b)
+    assert_matches(min_curves(c1, c2), ref.min_curves(ref.table(c1), ref.table(c2)))
 
 
 @st.composite
@@ -288,7 +164,6 @@ def bounded_rate_curves(draw):
     return Curve.from_breakpoints(xs, ys, fs)
 
 
-@needs_numpy
 @settings(max_examples=60)
 @given(
     bounded_rate_curves(),
@@ -296,14 +171,12 @@ def bounded_rate_curves(draw):
     st.sampled_from(["exact", "lower", "upper"]),
 )
 def test_identity_minus_bit_identical(total, lateness, mode):
-    with use_backend("numpy"):
-        a = identity_minus(total, lateness=lateness, mode=mode)
-    with use_backend("python"):
-        b = identity_minus(total, lateness=lateness, mode=mode)
-    assert_identical(a, b)
+    assert_matches(
+        identity_minus(total, lateness=lateness, mode=mode),
+        ref.identity_minus(ref.table(total), lateness, mode),
+    )
 
 
-@needs_numpy
 @settings(max_examples=60)
 @given(
     bounded_rate_curves(),
@@ -311,50 +184,38 @@ def test_identity_minus_bit_identical(total, lateness, mode):
     st.floats(min_value=0.0, max_value=3.0),
 )
 def test_service_transform_bit_identical(B, c, lag):
-    with use_backend("numpy"):
-        a = service_transform(B, c, lag=lag, t_end=120.0)
-    with use_backend("python"):
-        b = service_transform(B, c, lag=lag, t_end=120.0)
-    assert_identical(a, b)
+    assert_matches(
+        service_transform(B, c, lag=lag, t_end=120.0),
+        ref.service_transform(ref.table(B), ref.table(c), lag, 120.0),
+    )
 
 
-@needs_numpy
+def test_service_transform_fallback_bit_identical():
+    """The scalar fallback of ``service_transform`` matches the oracle.
+
+    ``B`` carries two breakpoints 1e-12 apart, so consecutive emissions of
+    the running-min recursion fall within EPS and the vectorized assembly
+    hands over to the scalar loop -- a path the generated curves above
+    never take.
+    """
+    B = Curve.from_breakpoints(
+        [0, 1, 1 + 1e-12, 5], [0, 1, 1 + 5e-13, 2], 0.5, canonicalize=False
+    )
+    c = Curve.step_from_times([0, 0.5, 3], 0.2)
+    t_end = 20.0
+    assert _running_min_branch_fast(B, c, t_end + EPS) is None
+    assert_matches(
+        service_transform(B, c, 0.0, t_end),
+        ref.service_transform(ref.table(B), ref.table(c), 0.0, t_end),
+    )
+
+
 @settings(max_examples=40)
 @given(step_curves(), st.floats(min_value=0.1, max_value=2.0))
 def test_fcfs_service_bounds_bit_identical(c, tau):
-    with use_backend("numpy"):
-        lo_a, up_a = fcfs_service_bounds(c, c, tau, t_end=120.0)
-    with use_backend("python"):
-        lo_b, up_b = fcfs_service_bounds(c, c, tau, t_end=120.0)
-    assert_identical(lo_a, lo_b)
-    assert_identical(up_a, up_b)
-
-
-# -- memoization across backend flips --------------------------------------
-
-
-@needs_numpy
-def test_cache_entries_do_not_cross_backends():
-    """Flipping backends mid-process must miss, not serve stale entries.
-
-    Backends are bit-identical by contract, but a cross-backend hit would
-    mask any violation of that contract (and make it unreproducible), so
-    the cache keys mix in the backend name.
-    """
-    B = Curve.identity()
-    c = Curve.step_from_times([0.0, 2.0, 4.0], 1.5)
-    with curve_cache() as cache:
-        with use_backend("numpy"):
-            first = service_transform(B, c, 0.5, 30.0)
-            assert cache.stats().misses == 1
-        with use_backend("python"):
-            second = service_transform(B, c, 0.5, 30.0)
-            # Same operands, different backend: a fresh miss.
-            assert cache.stats().misses == 2
-            assert second is not first
-            third = service_transform(B, c, 0.5, 30.0)
-            assert third is second  # hit within the python scope
-        with use_backend("numpy"):
-            fourth = service_transform(B, c, 0.5, 30.0)
-            assert fourth is first  # numpy entry still present
-    assert_identical(first, second)
+    lower, upper = fcfs_service_bounds(c, c, tau, t_end=120.0)
+    want_lower, want_upper = ref.fcfs_service_bounds(
+        ref.table(c), ref.table(c), tau, 120.0
+    )
+    assert_matches(lower, want_lower)
+    assert_matches(upper, want_upper)

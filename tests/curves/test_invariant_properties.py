@@ -48,7 +48,9 @@ def continuous_curves(draw):
 
 
 def _monotone(c):
-    grid = np.unique(np.concatenate([c.x, np.linspace(0.0, c.x_end + 5.0, 80)]))
+    grid = np.unique(
+        np.concatenate([c.breakpoints().x, np.linspace(0.0, c.x_end + 5.0, 80)])
+    )
     vals = np.atleast_1d(c.value(grid))
     assert np.all(np.diff(vals) >= -1e-9)
 
