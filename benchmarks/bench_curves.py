@@ -7,7 +7,9 @@ FCFS utilization/service pipeline, at increasing breakpoint counts.
 Standalone mode (``python benchmarks/bench_curves.py --json``) times the
 kernels on exact vs compacted inputs, records compaction in/out
 breakpoint counts and certified deviations, and writes
-``BENCH_curves.json`` at the repository root.
+``BENCH_curves.json`` at the repository root.  Every timing ``<name>_s``
+is the median of ``--repeats`` calls, recorded next to its interquartile
+range ``<name>_iqr_s``.
 """
 
 import argparse
@@ -107,16 +109,33 @@ def test_min_curves_bench(benchmark):
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _median_time(fn, repeats: int) -> float:
+def _timed(name: str, fn, repeats: int) -> dict:
+    """Median ``<name>_s`` and interquartile range ``<name>_iqr_s`` of calls."""
     times_s = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times_s.append(time.perf_counter() - t0)
-    return statistics.median(times_s)
+    q1, q3 = np.percentile(times_s, [25, 75])
+    return {f"{name}_s": statistics.median(times_s), f"{name}_iqr_s": float(q3 - q1)}
 
 
-def run_kernel_benchmark(repeats: int = 5, budget: int = 64):
+def near_duplicate_availability(n: int) -> Curve:
+    """Continuous rate-1/2 availability with breakpoint twins 1e-12 apart.
+
+    Each unit interval holds a breakpoint at ``k + 0.9`` and its twin
+    1e-12 later.  Against :func:`periodic_workload` the running-min
+    branch of piece ``k`` is active from ``k + 0.8``, so both are
+    candidate emissions and ``service_transform`` drops every twin
+    through its EPS guard.
+    """
+    base = np.arange(n) + 0.9
+    xs = np.concatenate(([0.0], np.sort(np.concatenate((base, base + 1e-12)))))
+    ys = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(xs))))
+    return Curve.from_breakpoints(xs, ys, 0.5, canonicalize=False)
+
+
+def run_kernel_benchmark(repeats: int = 11, budget: int = 64):
     from repro.curves.compact import compact, max_deviation
     from repro.curves.memo import curve_cache
 
@@ -128,11 +147,13 @@ def run_kernel_benchmark(repeats: int = 5, budget: int = 64):
         cu_step = compact(c, "upper", budget=budget)
         cu_lin = compact(c, "upper", budget=budget, shape="linear")
         kernels[f"service_transform_n{n}"] = {
-            "exact_s": _median_time(
+            **_timed(
+                "exact",
                 lambda: service_transform(Curve.identity(), c, 0.0, horizon),
                 repeats,
             ),
-            "compacted_s": _median_time(
+            **_timed(
+                "compacted",
                 lambda: service_transform(
                     Curve.identity(), cu_step, 0.0, horizon
                 ),
@@ -145,10 +166,9 @@ def run_kernel_benchmark(repeats: int = 5, budget: int = 64):
             "deviation_linear": max_deviation(cu_lin, c, horizon),
         }
         kernels[f"compact_n{n}"] = {
-            "step_s": _median_time(
-                lambda: compact(c, "upper", budget=budget), repeats
-            ),
-            "linear_s": _median_time(
+            **_timed("step", lambda: compact(c, "upper", budget=budget), repeats),
+            **_timed(
+                "linear",
                 lambda: compact(c, "upper", budget=budget, shape="linear"),
                 repeats,
             ),
@@ -158,8 +178,28 @@ def run_kernel_benchmark(repeats: int = 5, budget: int = 64):
     compacted = [compact(c, "upper", budget=budget, shape="linear")
                  for c in curves]
     kernels["sum_curves_16x2000"] = {
-        "exact_s": _median_time(lambda: sum_curves(curves), repeats),
-        "compacted_s": _median_time(lambda: sum_curves(compacted), repeats),
+        **_timed("exact", lambda: sum_curves(curves), repeats),
+        **_timed("compacted", lambda: sum_curves(compacted), repeats),
+    }
+    # The same total at 60% load, so the availability both rises and dips.
+    total = sum_curves(curves).scale(0.1)
+    kernels["identity_minus_16x2000"] = {
+        **_timed("exact", lambda: identity_minus(total, 0.0, "upper"), repeats),
+        "breakpoints_in": int(total.n_breakpoints),
+    }
+
+    B = near_duplicate_availability(2000)
+    c = periodic_workload(2000)
+    kernels["service_transform_guard_n2000"] = {
+        **_timed("exact", lambda: service_transform(B, c, 0.0, 2010.0), repeats),
+        "breakpoints_in": int(B.n_breakpoints),
+    }
+
+    a = periodic_workload(2000)
+    rate = Curve.from_breakpoints([0.0], [0.0], final_slope=0.35)
+    kernels["min_curves_n2000"] = {
+        **_timed("exact", lambda: min_curves(a, rate), repeats),
+        "breakpoints_in": int(a.n_breakpoints),
     }
 
     with curve_cache() as cache:
@@ -182,7 +222,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--json", action="store_true",
                         help="write BENCH_curves.json at the repo root")
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=11)
     parser.add_argument("--budget", type=int, default=64)
     args = parser.parse_args(argv)
 

@@ -404,16 +404,11 @@ class Curve:
         """
         if not self.is_step():
             raise CurveError("steps() requires a piecewise-constant curve")
-        jumps = self.jump_times().tolist()
-        if jumps and jumps[0] <= EPS:
-            boundaries = jumps
-        else:
-            boundaries = [0.0] + jumps if jumps else [0.0]
-        if not boundaries or boundaries[0] > EPS:
-            boundaries = [0.0] + boundaries
-        boundaries = sorted(set(b if b > 0.0 else 0.0 for b in boundaries))
-        values = self.value(boundaries)
-        return np.asarray(boundaries, dtype=float), values
+        jumps = self.jump_times()
+        if not (jumps.size and jumps[0] <= EPS):
+            jumps = np.concatenate(([0.0], jumps))
+        boundaries = np.unique(np.where(jumps > 0.0, jumps, 0.0))
+        return boundaries, self.value(boundaries)
 
     def total_at(self, horizon: float) -> float:
         """Convenience alias for ``value(horizon)``."""

@@ -16,20 +16,26 @@ scalar reference implementation in the test suite, so keep the operation
 order intact when editing a kernel, or regenerate the goldens
 deliberately.
 
+The operators that evaluate their operands on a union grid of the
+operands' own breakpoints (:func:`sum_curves`, :func:`min_curves`,
+:func:`identity_minus`) locate each operand's breakpoints in the grid
+and count them, instead of searching the operand for every grid point
+(:func:`_eval_on_grid`).
+
 :func:`service_transform` assembles the emissions of its running-min
 recursion positionally with ``cumsum``/``repeat``
-(:func:`_running_min_branch_fast`).  Where the scalar emission loop's
-EPS de-duplication guard could make the two differ -- consecutive
-emissions closer than :data:`EPS`, as on curves with breakpoints a few
-ulps apart -- it runs the scalar loop instead
-(:func:`_running_min_branch_reference`), so the result never depends on
-which path ran.
+(:func:`_running_min_branch`), then applies the EPS guard of the scalar
+emission loop in the test oracle: an interior breakpoint of ``B`` is
+emitted only when it lies more than :data:`EPS` past the last emitted
+point, so curves with breakpoints a few ulps apart lose the near
+duplicates.  Only candidates within EPS of their predecessor need a look
+back at the last kept point; every other candidate is kept outright.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -290,30 +296,47 @@ def eval_left(x, y, final_slope: float, ts):
 
 
 def _eval_at(x, y, final_slope, ts, idx):
-    out = np.empty_like(ts)
+    """Values at ``ts``, where ``idx`` is the segment each query falls in.
 
-    below = idx < 0
-    out[below] = y[0]
-
-    last = idx >= x.size - 1
-    sel = last & ~below
-    out[sel] = y[-1] + final_slope * (ts[sel] - x[-1])
-
-    mid = ~below & ~last
-    if np.any(mid):
-        i = idx[mid]
-        x0 = x[i]
-        x1 = x[i + 1]
-        y0 = y[i]
-        y1 = y[i + 1]
-        dx = x1 - x0
-        # i is the last breakpoint with abscissa <= t, so x1 > x0 except
-        # for degenerate zero-width segments guarded here.
-        frac = np.where(
-            dx > 0.0, (ts[mid] - x0) / np.where(dx > 0.0, dx, 1.0), 1.0
+    Every lane interpolates on its segment, clamped into the table; lanes
+    before the first breakpoint (``idx < 0``) or past the last one are then
+    replaced.
+    """
+    last = x.size - 1
+    x0 = x.take(idx, mode="clip")
+    y0 = y.take(idx, mode="clip")
+    nxt = idx + 1
+    d = ts - x0
+    # Inside the table x0 <= t < x1, so dx > 0; the clamped lanes before
+    # and past it get dx = 0 here (0/0, inf * 0) and are replaced below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = y0 + d / (x.take(nxt, mode="clip") - x0) * (
+            y.take(nxt, mode="clip") - y0
         )
-        out[mid] = y0 + frac * (y1 - y0)
-    return out
+        # Past the table x0 = x[-1] and y0 = y[-1].  On a flat tail
+        # ``0 * min(d, 1)`` is ``0 * d`` to the sign, but 0 at t = inf.
+        tail = y0 + final_slope * (d if final_slope else np.minimum(d, 1.0))
+    out = np.where(idx >= last, tail, out)
+    return np.where(idx < 0, y[0], out)
+
+
+def _eval_on_grid(curve, grid):
+    """Left limits and right values of ``curve`` at every point of ``grid``.
+
+    ``grid`` is sorted and holds every breakpoint of ``curve``, so counting
+    the breakpoints at each grid point yields the segment indices that
+    :func:`eval_right` and :func:`eval_left` search for, at ``n log N``
+    instead of ``2 N log n``.  The left limit differs from the right value
+    only at the curve's own breakpoints, so it is evaluated only there.
+    """
+    x, y, fs = curve._x, curve._y, curve._final_slope
+    counts = np.bincount(np.searchsorted(grid, x), minlength=grid.size)
+    idx = np.cumsum(counts) - 1
+    right = _eval_at(x, y, fs, grid, idx)
+    left = right.copy()
+    at = np.flatnonzero(counts)
+    left[at] = _eval_at(x, y, fs, grid[at], idx[at] - counts[at])
+    return left, right
 
 
 def first_crossing(x, y, final_slope: float, vs):
@@ -447,8 +470,9 @@ def sum_curves(curves):
     left = np.zeros_like(grid)
     right = np.zeros_like(grid)
     for c in curves:
-        left += np.atleast_1d(c.value_left(grid))
-        right += np.atleast_1d(c.value(grid))
+        c_left, c_right = _eval_on_grid(c, grid)
+        left += c_left
+        right += c_right
     xs, ys = _interleave(grid, left, right)
     fs = sum(c.final_slope for c in curves)
     return xs, ys, fs
@@ -457,36 +481,32 @@ def sum_curves(curves):
 def min_curves(a, b):
     """Exact pointwise minimum of two non-decreasing curves."""
     grid = _union_grid([a._x, b._x])
+    a_left, a_right = _eval_on_grid(a, grid)
+    b_left, b_right = _eval_on_grid(b, grid)
     # Insert crossing points inside segments where a - b changes sign.
-    seg_starts = grid
-    extra: List[float] = []
-    ar = np.atleast_1d(a.value(seg_starts))
-    br = np.atleast_1d(b.value(seg_starts))
-    for i in range(grid.size - 1):
-        x0, x1 = grid[i], grid[i + 1]
-        d0 = ar[i] - br[i]
-        d1 = float(a.value_left(x1)) - float(b.value_left(x1))
-        if (d0 > EPS and d1 < -EPS) or (d0 < -EPS and d1 > EPS):
-            # Linear difference on the open segment: interpolate the root.
-            t = x0 + (0.0 - d0) * (x1 - x0) / (d1 - d0)
-            if x0 + EPS < t < x1 - EPS:
-                extra.append(t)
+    d0 = a_right[:-1] - b_right[:-1]
+    d1 = a_left[1:] - b_left[1:]
+    cross = ((d0 > EPS) & (d1 < -EPS)) | ((d0 < -EPS) & (d1 > EPS))
+    x0 = grid[:-1][cross]
+    x1 = grid[1:][cross]
+    d0 = d0[cross]
+    # Linear difference on the open segment: interpolate the root.
+    t = x0 + (0.0 - d0) * (x1 - x0) / (d1[cross] - d0)
+    extra = t[(x0 + EPS < t) & (t < x1 - EPS)]
     # Tail crossing beyond the last breakpoint.
     x_last = grid[-1]
-    da = float(a.value(x_last)) - float(b.value(x_last))
+    da = a_right[-1] - b_right[-1]
     dslope = a.final_slope - b.final_slope
     if abs(dslope) > EPS:
         t = x_last - da / dslope
         if t > x_last + EPS and math.isfinite(t):
-            extra.append(t)
-    if extra:
-        grid = _union_grid([grid, np.asarray(extra)])
-    left = np.minimum(
-        np.atleast_1d(a.value_left(grid)), np.atleast_1d(b.value_left(grid))
-    )
-    right = np.minimum(
-        np.atleast_1d(a.value(grid)), np.atleast_1d(b.value(grid))
-    )
+            extra = np.append(extra, t)
+    if extra.size:
+        grid = _union_grid([grid, extra])
+        a_left, a_right = _eval_on_grid(a, grid)
+        b_left, b_right = _eval_on_grid(b, grid)
+    left = np.minimum(a_left, b_left)
+    right = np.minimum(a_right, b_right)
     xs, ys = _interleave(grid, left, right)
     # Final slope: whichever curve is smaller at infinity.
     if abs(dslope) <= EPS:
@@ -512,8 +532,9 @@ def identity_minus(total, lateness: float, mode: str):
     # Interleave left/right values so downward jumps of h (= upward
     # jumps of `total`) are represented exactly before the monotone
     # closure.
-    h_left = grid - lateness - np.atleast_1d(total.value_left(grid))
-    h_right = grid - lateness - np.atleast_1d(total.value(grid))
+    t_left, t_right = _eval_on_grid(total, grid)
+    h_left = grid - lateness - t_left
+    h_right = grid - lateness - t_right
     jump = h_left > h_right + EPS
     n = grid.size + int(np.count_nonzero(jump))
     xs = np.empty(n)
@@ -629,11 +650,22 @@ def _running_max_closure(
     return xs, m
 
 
-def _branch_state(B, c, t_end: float):
-    """Shared per-piece precomputation of the running-min recursion.
+def _running_min_branch(
+    B, c, t_end: float
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Compute ``R(u) = min(0, min_{j: p_j < u}(v_j - B(min(u, p_{j+1}))))``.
 
-    Returns ``(p, v, bounds, b_at_bounds, m_arr, u_star_arr, lo_idx,
-    hi_idx)`` -- see :func:`_running_min_branch` for the recursion.
+    Returns breakpoint arrays ``(u, R(u))`` on ``[0, t_end]`` plus the final
+    slope of ``R`` beyond ``t_end``.  ``R`` is continuous, non-increasing
+    and piecewise linear; its kinks occur at the piece boundaries of ``c``,
+    at breakpoints of ``B`` while ``R`` tracks the branch ``v_j - B(u)``,
+    and at the crossover points where a branch first dips below the running
+    minimum.
+
+    Every candidate point -- crossover ``u*``, interior breakpoints of ``B``
+    along the active branch, piece endpoints -- is placed positionally via
+    ``cumsum``-of-counts and ``repeat``; the EPS guard then drops the
+    interior breakpoints within :data:`EPS` of the last kept point.
     """
     if not c.is_step():
         raise CurveError("service transform requires a step workload curve")
@@ -660,63 +692,10 @@ def _branch_state(B, c, t_end: float):
     u_star_arr = np.atleast_1d(B.first_crossing(np.maximum(lvl, 0.0)))
     u_star_arr[lvl <= EPS] = 0.0
     # B values at B's own breakpoints (continuous => y at breakpoints).
-    bx = B._x
+    bx, by = B._x, B._y
     lo_idx = np.searchsorted(bx, np.maximum(u_star_arr, bounds[:-1]), side="right")
     hi_idx = np.searchsorted(bx, bounds[1:], side="left")
-    return p, v, bounds, b_at_bounds, m_arr, u_star_arr, lo_idx, hi_idx
 
-
-def _running_min_branch_reference(
-    B, c, t_end: float
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Scalar emission loop, run when emissions fall within EPS of each other."""
-    p, v, bounds, b_at_bounds, m_arr, u_star_arr, lo_idx, hi_idx = _branch_state(
-        B, c, t_end
-    )
-    bx, by = B._x, B._y
-    us: List[float] = [0.0]
-    rs: List[float] = [0.0]
-    on_branch_at_end = False
-    for i in range(p.size):
-        a, b_hi = bounds[i], bounds[i + 1]
-        vi = v[i]
-        m = m_arr[i]
-        if b_hi - a <= EPS:
-            continue
-        u_star = min(max(float(u_star_arr[i]), a), b_hi)
-        if u_star > a + EPS:
-            us.append(u_star)
-            rs.append(m)
-            on_branch_at_end = False
-        if u_star < b_hi - EPS:
-            # Follow the branch vi - B(u) on (u_star, b_hi]; include B's
-            # interior breakpoints so the branch is piecewise exact.
-            for k in range(lo_idx[i], hi_idx[i]):
-                xbp = bx[k]
-                if xbp > us[-1] + EPS:
-                    us.append(float(xbp))
-                    rs.append(vi - float(by[k]))
-            us.append(b_hi)
-            rs.append(vi - float(b_at_bounds[i + 1]))
-            on_branch_at_end = True
-    return np.asarray(us), np.asarray(rs), on_branch_at_end
-
-
-def _running_min_branch_fast(B, c, t_end: float):
-    """Vectorized emission assembly; ``None`` when the fallback must run.
-
-    Emits *every* candidate point (crossover ``u*``, interior breakpoints
-    of ``B`` along the active branch, piece endpoints) positionally via
-    ``cumsum``-of-counts and ``repeat``.  The scalar loop additionally
-    skips interior breakpoints within ``EPS`` of the previously emitted
-    point; when any consecutive emission gap is that small the two
-    assemblies could diverge, so the caller re-runs the reference loop --
-    everywhere else the sequences are identical by construction.
-    """
-    p, v, bounds, b_at_bounds, m_arr, u_star_arr, lo_idx, hi_idx = _branch_state(
-        B, c, t_end
-    )
-    bx, by = B._x, B._y
     a = bounds[:-1]
     b_hi = bounds[1:]
     active = b_hi - a > EPS
@@ -737,6 +716,7 @@ def _running_min_branch_fast(B, c, t_end: float):
     rs[pos_star] = m_arr[emit_star]
     branch_base = starts + emit_star.astype(np.intp)
     interior = emit_branch & (span > 0)
+    tgt = np.empty(0, dtype=np.intp)
     if np.any(interior):
         piece_idx = np.nonzero(interior)[0]
         reps = span[piece_idx]
@@ -751,38 +731,27 @@ def _running_min_branch_fast(B, c, t_end: float):
     us[pos_end] = b_hi[emit_branch]
     rs[pos_end] = (v - b_at_bounds[1:])[emit_branch]
 
-    if total > 1 and bool(np.any(np.diff(us) <= EPS)):
-        return None  # the scalar loop's EPS guard could change the output
+    # EPS guard: an interior breakpoint is kept only when it lies more than
+    # EPS past the last kept point.  Candidates never decrease and rounding
+    # of ``u + EPS`` is monotone, so one more than EPS past its predecessor
+    # is kept whatever came before.  Only the ``near`` ones need the last
+    # kept point, which a dropped predecessor leaves unchanged.
+    near = tgt[us[tgt] <= us[tgt - 1] + EPS]
+    if near.size:
+        kept = np.ones(total, dtype=bool)
+        last = 0
+        for j in near.tolist():
+            if kept[j - 1]:
+                last = j - 1
+            kept[j] = us[j] > us[last] + EPS
+        us = us[kept]
+        rs = rs[kept]
 
     flagged = np.nonzero(emit_star | emit_branch)[0]
     on_branch_at_end = bool(emit_branch[flagged[-1]]) if flagged.size else False
-    return us, rs, on_branch_at_end
-
-
-def _running_min_branch(
-    B, c, t_end: float
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Compute ``R(u) = min(0, min_{j: p_j < u}(v_j - B(min(u, p_{j+1}))))``.
-
-    Returns breakpoint arrays ``(u, R(u))`` on ``[0, t_end]`` plus the final
-    slope of ``R`` beyond ``t_end``.  ``R`` is continuous, non-increasing
-    and piecewise linear; its kinks occur at the piece boundaries of ``c``,
-    at breakpoints of ``B`` while ``R`` tracks the branch ``v_j - B(u)``,
-    and at the crossover points where a branch first dips below the running
-    minimum.
-    """
-    fast = _running_min_branch_fast(B, c, t_end)
-    if fast is None:
-        u_arr, r_arr, on_branch_at_end = _running_min_branch_reference(
-            B, c, t_end
-        )
-    else:
-        u_arr, r_arr, on_branch_at_end = fast
     # R is non-increasing by construction; clamp floating noise.
-    np.minimum.accumulate(r_arr, out=r_arr)
+    np.minimum.accumulate(rs, out=rs)
     # Deduplicate abscissae (keep the last = smallest value).
-    keep = np.concatenate((np.diff(u_arr) > EPS, [True]))
-    u_arr = u_arr[keep]
-    r_arr = r_arr[keep]
+    keep = np.concatenate((np.diff(us) > EPS, [True]))
     r_fs = -B.final_slope if on_branch_at_end else 0.0
-    return u_arr, r_arr, r_fs
+    return us[keep], rs[keep], r_fs

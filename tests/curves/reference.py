@@ -91,7 +91,10 @@ def _eval_scalar(
     if j < 0:
         return ys[0]
     if j >= len(xs) - 1:
-        return ys[-1] + fs * (t - xs[-1])
+        # On a flat tail ``0 * min(d, 1)`` is ``0 * d`` to the sign, but 0
+        # at t = inf.
+        d = t - xs[-1]
+        return ys[-1] + fs * (d if fs else min(d, 1.0))
     x0 = xs[j]
     x1 = xs[j + 1]
     y0 = ys[j]

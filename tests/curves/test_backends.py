@@ -3,13 +3,19 @@
 Every kernel must produce *byte-identical* output to the scalar
 reference implementation in ``reference.py`` -- not merely approximately
 equal output.  The property tests here drive each kernel on
-hypothesis-generated curves and compare raw breakpoint storage; one
-deterministic case pins the scalar fallback inside ``service_transform``,
-which the generated curves never reach.
+hypothesis-generated curves and compare raw breakpoint storage.  The
+strategies reach the corners where a cheaper vectorization would differ
+from the oracle: a signed zero in ``y[0]``, queries at ``-0.0`` and
+``+inf``, sum operands that share breakpoints, and clustered release
+times and breakpoints within EPS of each other, which drive the EPS guard
+of ``service_transform``.  Two deterministic cases pin that guard: one
+dropped breakpoint, and a chain in which it keeps a later point.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -20,7 +26,7 @@ from repro.curves import (
     service_transform,
     sum_curves,
 )
-from repro.curves.kernels import _running_min_branch_fast
+from repro.curves.kernels import _running_min_branch
 from repro.curves.ops import fcfs_service_bounds, min_curves
 
 # -- strategies ------------------------------------------------------------
@@ -31,12 +37,33 @@ times_strategy = st.lists(
     max_size=25,
 )
 
+#: Gaps within EPS, down to the 2.8e-14 of real near-coincident releases.
+#: Two of 6e-10 (or three of 4e-10) add up past EPS, so a chain can hold a
+#: member the guard keeps after dropping the ones before it.
+near_gaps = st.sampled_from([0.0, 2.8e-14, 1e-12, 4e-10, 6e-10])
+
+
+@st.composite
+def time_chains(draw):
+    """Chains of times, each member within EPS of the previous one."""
+    chains = []
+    for t in draw(st.lists(st.floats(min_value=0.0, max_value=50.0),
+                           min_size=1, max_size=8)):
+        gaps = draw(st.lists(near_gaps, min_size=1, max_size=4))
+        chains.append((t + np.cumsum([0.0] + gaps)).tolist())
+    return chains
+
+
+clustered_times = time_chains().map(lambda chains: sum(chains, []))
+
+
+heights = st.floats(min_value=0.05, max_value=3.0)
+
 
 @st.composite
 def step_curves(draw):
-    times = draw(times_strategy)
-    height = draw(st.floats(min_value=0.05, max_value=3.0))
-    return Curve.step_from_times(times, height)
+    times = draw(st.one_of(times_strategy, clustered_times))
+    return Curve.step_from_times(times, draw(heights))
 
 
 @st.composite
@@ -52,10 +79,11 @@ def raw_breakpoint_data(draw):
     n = draw(st.integers(min_value=1, max_value=12))
     dx = draw(st.lists(st.floats(min_value=0.0, max_value=5.0),
                        min_size=n, max_size=n))
-    dy = draw(st.lists(st.floats(min_value=0.0, max_value=3.0),
+    dy = draw(st.lists(st.one_of(st.just(0.0),
+                                 st.floats(min_value=0.0, max_value=3.0)),
                        min_size=n, max_size=n))
     xs = np.concatenate(([0.0], np.cumsum(dx)))
-    ys = np.concatenate(([0.0], np.cumsum(dy)))
+    ys = np.concatenate(([draw(st.sampled_from([0.0, -0.0]))], np.cumsum(dy)))
     fs = draw(st.floats(min_value=0.0, max_value=2.0))
     return xs, ys, fs
 
@@ -70,10 +98,25 @@ def general_curves(draw):
 any_curves = st.one_of(step_curves(), general_curves())
 
 query_lists = st.lists(
-    st.floats(min_value=0.0, max_value=80.0, allow_nan=False, allow_infinity=False),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=80.0, allow_nan=False,
+                  allow_infinity=False),
+        st.sampled_from([-0.0, math.inf]),
+    ),
     min_size=1,
     max_size=12,
 )
+
+
+@st.composite
+def sharing_operand_lists(draw):
+    """Sum operands sharing breakpoints: step curves over suffixes of one
+    release sequence, plus one curve given twice."""
+    times = draw(st.one_of(times_strategy, clustered_times))
+    n = draw(st.integers(min_value=1, max_value=3))
+    curves = [Curve.step_from_times(times[i:], draw(heights)) for i in range(n)]
+    repeated = draw(any_curves)
+    return curves + [repeated, repeated]
 
 
 def _bytes(xs, ys, fs):
@@ -119,7 +162,15 @@ def test_step_from_times_bit_identical(times, height):
 
 @settings(max_examples=80)
 @given(any_curves, query_lists)
+@example(
+    Curve.from_breakpoints([0, 1, 2], [-0.0, -0.0, 1.0], 0.0, canonicalize=False),
+    [0.5, -0.0, math.inf],
+)
 def test_eval_kernels_bit_identical(c, ts):
+    # Every segment is queried inside too: a flat one starting at -0.0
+    # reads 0.0 there.
+    xs = ref.table(c)[0]
+    ts = ts + xs + [(a + b) / 2.0 for a, b in zip(xs, xs[1:])]
     q = np.asarray(ts, dtype=float)
     assert_same_floats(c.value(q), ref.eval_right(ref.table(c), ts))
     assert_same_floats(c.value_left(q), ref.eval_left(ref.table(c), ts))
@@ -137,7 +188,8 @@ def test_inverse_kernels_bit_identical(c, vs):
 
 
 @settings(max_examples=60)
-@given(st.lists(any_curves, min_size=2, max_size=4))
+@given(st.one_of(st.lists(any_curves, min_size=2, max_size=4),
+                 sharing_operand_lists()))
 def test_sum_curves_bit_identical(curves):
     assert_matches(
         sum_curves(curves), ref.sum_curves([ref.table(c) for c in curves])
@@ -177,13 +229,35 @@ def test_identity_minus_bit_identical(total, lateness, mode):
     )
 
 
+@st.composite
+def clustered_service_inputs(draw):
+    """An availability curve with chains of near-duplicate breakpoints.
+
+    As in availability curves built from near-coincident releases, each
+    chain of ``B`` lies inside a piece of the workload ``c`` or starts at
+    one of its release times, so the running-min recursion meets interior
+    breakpoints of ``B`` within EPS of the last emitted point.  ``B`` stays
+    uncanonicalized: canonicalization would fold most of them away.
+    """
+    chains = draw(time_chains())
+    times = [chain[0] for chain in chains if draw(st.booleans())]
+    xs = np.unique(np.concatenate([[0.0]] + chains))
+    rho = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                        min_size=xs.size - 1, max_size=xs.size - 1))
+    ys = np.concatenate(([0.0], np.cumsum(np.asarray(rho) * np.diff(xs))))
+    fs = draw(st.floats(min_value=0.0, max_value=1.0))
+    B = Curve.from_breakpoints(xs, ys, fs, canonicalize=False)
+    return B, Curve.step_from_times(times, draw(heights))
+
+
 @settings(max_examples=60)
 @given(
-    bounded_rate_curves(),
-    step_curves(),
+    st.one_of(st.tuples(bounded_rate_curves(), step_curves()),
+              clustered_service_inputs()),
     st.floats(min_value=0.0, max_value=3.0),
 )
-def test_service_transform_bit_identical(B, c, lag):
+def test_service_transform_bit_identical(inputs, lag):
+    B, c = inputs
     assert_matches(
         service_transform(B, c, lag=lag, t_end=120.0),
         ref.service_transform(ref.table(B), ref.table(c), lag, 120.0),
@@ -191,19 +265,44 @@ def test_service_transform_bit_identical(B, c, lag):
 
 
 def test_service_transform_fallback_bit_identical():
-    """The scalar fallback of ``service_transform`` matches the oracle.
+    """The EPS guard of ``service_transform`` matches the oracle.
 
-    ``B`` carries two breakpoints 1e-12 apart, so consecutive emissions of
-    the running-min recursion fall within EPS and the vectorized assembly
-    hands over to the scalar loop -- a path the generated curves above
-    never take.
+    ``B`` carries two breakpoints 1e-12 apart on the active branch, so
+    consecutive candidate emissions of the running-min recursion fall
+    within EPS and the guard drops the second one.
     """
     B = Curve.from_breakpoints(
         [0, 1, 1 + 1e-12, 5], [0, 1, 1 + 5e-13, 2], 0.5, canonicalize=False
     )
     c = Curve.step_from_times([0, 0.5, 3], 0.2)
     t_end = 20.0
-    assert _running_min_branch_fast(B, c, t_end + EPS) is None
+    u, _, _ = _running_min_branch(B, c, t_end + EPS)
+    assert 1.0 in u and 1 + 1e-12 not in u
+    assert_matches(
+        service_transform(B, c, 0.0, t_end),
+        ref.service_transform(ref.table(B), ref.table(c), 0.0, t_end),
+    )
+
+
+def test_service_transform_guard_chain_bit_identical():
+    """A chain of candidates, each within EPS of the previous one.
+
+    The guard measures each candidate from the last *kept* point: of the
+    breakpoints at 1 + 4e-10 and 1 + 8e-10 (within EPS of 1) both are
+    dropped, and 1 + 1.2e-9, within EPS of its predecessor but not of 1,
+    is kept.
+    """
+    chain = [1.0, 1 + 4e-10, 1 + 8e-10, 1 + 1.2e-9]
+    B = Curve.from_breakpoints(
+        [0.0] + chain + [5.0],
+        [0.0, 1.0, 1 + 2e-10, 1 + 4e-10, 1 + 6e-10, 2.0],
+        0.5,
+        canonicalize=False,
+    )
+    c = Curve.step_from_times([0, 0.5, 3], 0.2)
+    t_end = 20.0
+    u, _, _ = _running_min_branch(B, c, t_end + EPS)
+    assert [t in u for t in chain] == [True, False, False, True]
     assert_matches(
         service_transform(B, c, 0.0, t_end),
         ref.service_transform(ref.table(B), ref.table(c), 0.0, t_end),

@@ -137,6 +137,14 @@ class TestEvaluation:
         f = Curve.from_breakpoints([0.0, 4.0], [0.0, 4.0], final_slope=0.0)
         assert f.value_left(2.0) == pytest.approx(f.value(2.0))
 
+    def test_value_at_infinity(self):
+        # A flat tail stays at its last value; a rising one grows without bound.
+        f = Curve.step_from_times([1, 2], 0.5)
+        assert f.value(math.inf) == 1.0
+        assert f.value_left(math.inf) == 1.0
+        assert f.total_at(math.inf) == 1.0
+        assert Curve.affine(0.5, 1.0).value(math.inf) == math.inf
+
 
 class TestFirstCrossing:
     def test_step_inverse_is_release_time(self):
