@@ -59,8 +59,8 @@ import signal
 import threading
 import time
 import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.admission import make_analyzer
@@ -387,12 +387,28 @@ class BatchReport:
 # worker-side machinery (module level so it pickles by reference)
 # ----------------------------------------------------------------------
 
-#: (index, item_id, system, method, horizon, options, audit) -- the
-#: picklable record (AnalysisOptions is a frozen dataclass of scalars, so
-#: it pickles cheaply by value).
-_Record = Tuple[
-    int, str, Any, str, Optional[HorizonConfig], Optional[AnalysisOptions], bool
-]
+
+@dataclass(frozen=True)
+class _Chunk:
+    """One executor task: ``(index, item)`` work and how to run it.
+
+    Pool workers receive it by pickle, so every field must pickle.
+    The capture flags ask a pool worker to record spans and metrics per
+    item for the parent; in-process chunks leave them off, because their
+    spans and metrics reach the parent's collectors directly.
+    """
+
+    items: Tuple[Tuple[int, BatchItem], ...]
+    attempt: int
+    timeout: Optional[float]
+    audit: bool
+    #: Capacity of the worker's curve cache; ``None`` runs uncached.
+    cache_size: Optional[int]
+    cache_dir: Optional[str]
+    injector: Optional[Any]
+    trace: bool
+    detail: bool
+    metrics: bool
 
 
 class _ItemTimeout(Exception):
@@ -454,30 +470,17 @@ def _item_timeout(seconds: Optional[float]):
 
 
 def _analyze_one(
-    record: _Record,
-    timeout: Optional[float],
+    index: int,
+    item: BatchItem,
+    work: _Chunk,
     cache: Optional[memo.CurveCache],
-    capture: Optional[Dict[str, bool]] = None,
-    injector: Optional[Any] = None,
-    attempt: int = 1,
-    options_override: Optional[AnalysisOptions] = None,
 ) -> ItemResult:
-    index, item_id, system, method, horizon, options, audit = record
-    if options_override is not None:
-        options = options_override
     # Worker processes have no ambient observability state; when the
-    # parent ran with tracing/metrics on, ``capture`` asks for a fresh
-    # per-item collector/registry whose snapshots travel back across the
-    # pool boundary in the ItemResult.  Serially ``capture`` is None and
-    # spans/metrics flow straight into the parent's collectors.
-    collector = registry = None
-    if capture:
-        if capture.get("trace"):
-            collector = _obs_trace.enable_tracing(
-                detail=bool(capture.get("detail"))
-            )
-        if capture.get("metrics"):
-            registry = _obs_metrics.enable_metrics()
+    # parent traces or meters, the chunk asks for a fresh per-item
+    # collector/registry whose snapshots travel back across the pool
+    # boundary in the ItemResult.
+    collector = _obs_trace.enable_tracing(detail=work.detail) if work.trace else None
+    registry = _obs_metrics.enable_metrics() if work.metrics else None
     try:
         before = cache.stats() if cache is not None else None
         t0 = time.perf_counter()
@@ -486,23 +489,25 @@ def _analyze_one(
         audited = False
         timeout_enforced: Optional[bool] = None
         violations: List[Dict[str, Any]] = []
-        with trace_span("batch.item", item=item_id, method=method) as span:
+        with trace_span("batch.item", item=item.item_id, method=item.method) as span:
             try:
-                with _item_timeout(timeout) as t_info:
+                with _item_timeout(work.timeout) as t_info:
                     timeout_enforced = t_info["enforced"]
-                    if injector is not None:
-                        injector.before_item(item_id, attempt, _ItemTimeout)
+                    if work.injector is not None:
+                        work.injector.before_item(
+                            item.item_id, work.attempt, _ItemTimeout
+                        )
                     result = make_analyzer(
-                        method, horizon, options=options
-                    ).analyze(system)
-                    if audit:
+                        item.method, item.horizon, options=item.options
+                    ).analyze(item.system)
+                    if work.audit:
                         # Cross-validate this item's method against the
                         # simulator; findings ride along as structured
                         # violation records.
                         from ..audit.checks import cross_validate
 
                         outcome = cross_validate(
-                            system, methods=(method,), horizon=horizon
+                            item.system, methods=(item.method,), horizon=item.horizon
                         )
                         audited = True
                         violations = [v.to_dict() for v in outcome.violations]
@@ -510,8 +515,8 @@ def _analyze_one(
             except _ItemTimeout:
                 status = STATUS_TIMEOUT
                 error = (
-                    f"analysis exceeded the {timeout:g}s item timeout"
-                    if timeout
+                    f"analysis exceeded the {work.timeout:g}s item timeout"
+                    if work.timeout
                     else "analysis timed out"
                 )
             except Exception as exc:  # AnalysisError, ValueError, ...
@@ -522,10 +527,10 @@ def _analyze_one(
         delta = cache.stats().delta(before) if cache is not None else None
         if delta is not None and result is not None:
             result.cache_stats = delta.to_dict()
-        item = ItemResult(
+        out = ItemResult(
             index=index,
-            item_id=item_id,
-            method=method,
+            item_id=item.item_id,
+            method=item.method,
             status=status,
             result=result,
             error=error,
@@ -545,79 +550,111 @@ def _analyze_one(
         if registry is not None:
             _obs_metrics.disable_metrics()
     if collector is not None:
-        item.trace = collector.snapshot()
+        out.trace = collector.snapshot()
     if registry is not None:
-        item.metrics = registry.snapshot()
-    return item
+        out.metrics = registry.snapshot()
+    return out
 
 
-def _worker_chunk(payload) -> Dict[str, Any]:
-    """Pool entry point: analyze one chunk of records in a worker process.
+def _worker_chunk(
+    work: _Chunk, submitted_at: float
+) -> Tuple[float, int, List[ItemResult]]:
+    """Pool entry point: analyze one chunk in a worker process.
 
     The worker enables a process-persistent curve cache on first use, so
     memoized kernels survive across chunks dispatched to the same worker
-    -- this is where cross-item curve reuse pays off.  The return value
-    carries the chunk's pool queue wait (submit-to-start, wall clock)
-    alongside the per-item results.
+    -- this is where cross-item curve reuse pays off.  Returns the
+    chunk's pool queue wait (submit-to-start, wall clock), the worker's
+    pid and the per-item results.
     """
-    (
-        records,
-        timeout,
-        use_cache,
-        cache_size,
-        capture,
-        submitted_at,
-        injector,
-        attempt,
-        options_override,
-        cache_dir,
-    ) = payload
-    queue_wait = (
-        max(0.0, time.time() - submitted_at) if submitted_at is not None else None
-    )
-    cache = memo.enable_curve_cache(cache_size) if use_cache else None
-    if cache is not None and cache_dir is not None and cache.spill is None:
-        # First chunk in this worker: attach the disk spill once; it (and
-        # its store counters) then persists with the cache across chunks.
-        cache.spill = CurveSpill(DiskCacheStore(cache_dir))
-    return {
-        "queue_wait": queue_wait,
-        "pid": os.getpid(),
-        "results": [
-            _analyze_one(
-                rec,
-                timeout,
-                cache,
-                capture,
-                injector=injector,
-                attempt=attempt,
-                options_override=options_override,
-            )
-            for rec in records
-        ],
-    }
+    queue_wait = max(0.0, time.time() - submitted_at)
+    cache = None
+    if work.cache_size is not None:
+        cache = memo.enable_curve_cache(work.cache_size)
+        if work.cache_dir is not None and cache.spill is None:
+            # First chunk in this worker: attach the disk spill once; it
+            # (and its store counters) then persists with the cache.
+            cache.spill = CurveSpill(DiskCacheStore(work.cache_dir))
+    results = [_analyze_one(i, item, work, cache) for i, item in work.items]
+    return queue_wait, os.getpid(), results
+
+
+# ----------------------------------------------------------------------
+# executors: run chunks, yield (chunk, results or the worker's death)
+# ----------------------------------------------------------------------
+
+
+class _InProcess:
+    """The executor with zero workers: runs chunks in the calling process.
+
+    It never dies: :class:`~repro.chaos.ChaosInjector` downgrades its
+    kills to transient errors in the supervising process.
+    """
+
+    def __init__(self, cache: Optional[memo.CurveCache]) -> None:
+        self.cache = cache
+
+    def run(self, chunks: List[_Chunk]) -> Iterator[Tuple[_Chunk, Any]]:
+        for work in chunks:
+            # Not ``if self.cache``: an empty CurveCache is falsy.
+            with (
+                memo.curve_cache(cache=self.cache)
+                if self.cache is not None
+                else nullcontext()
+            ):
+                results = [
+                    _analyze_one(i, item, work, self.cache) for i, item in work.items
+                ]
+            yield work, results
+
+    def close(self) -> None:
+        pass
+
+
+class _Pool:
+    """Executor over a pool of ``n_workers`` worker processes."""
+
+    def __init__(self, n_workers: int, status: Optional[StatusWriter]) -> None:
+        # Imported here: the pool module adds ~21 ms to ``import repro``.
+        from concurrent.futures import ProcessPoolExecutor
+
+        self.pool = ProcessPoolExecutor(max_workers=n_workers)
+        self.status = status
+
+    def run(self, chunks: List[_Chunk]) -> Iterator[Tuple[_Chunk, Any]]:
+        from concurrent.futures import as_completed
+
+        registry = _obs_metrics.active_metrics()
+        futures = {
+            self.pool.submit(_worker_chunk, work, time.time()): work
+            for work in chunks
+        }
+        for fut in as_completed(futures):
+            try:
+                queue_wait, pid, results = fut.result()
+            except Exception as exc:  # BrokenProcessPool, result pickling, ...
+                yield futures[fut], exc
+                continue
+            if registry is not None:
+                registry.observe("repro_batch_queue_wait_seconds", queue_wait)
+            if self.status is not None:
+                self.status.worker_seen(pid)
+            yield futures[fut], results
+
+    def close(self) -> None:
+        self.pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
-class _Pending:
-    """Supervision state for one record in the retry phase."""
+class _Tries:
+    """Supervision state of one work item across its attempts."""
 
-    record: _Record
-    attempt: int = 0  #: individual attempts completed so far
+    index: int
+    item: BatchItem  #: with ``item_id`` and ``options`` filled in
+    attempt: int = 0  #: attempts settled so far
     rung: int = 0  #: current degradation-ladder rung
-    pool_kills: int = 0  #: dedicated pools this record has killed
+    pool_kills: int = 0  #: one-worker pools this item has killed
     log: List[Dict[str, Any]] = field(default_factory=list)
-
-    def note(self, status: str, error: Optional[str], wall: float) -> None:
-        self.log.append(
-            {
-                "attempt": self.attempt,
-                "status": status,
-                "error": error,
-                "wall_time": round(wall, 6),
-                "rung": self.rung,
-            }
-        )
 
 
 class BatchEngine:
@@ -626,8 +663,9 @@ class BatchEngine:
     Parameters
     ----------
     n_workers:
-        Worker processes.  ``None``, 0 or 1 analyze serially in the
-        calling process (no pickling, still cached and timed out).
+        Worker processes.  ``None``, 0 or 1 analyze in the calling
+        process (no pickling, still cached and timed out), and so does
+        any run with fewer than two items left to analyze.
     chunksize:
         Items per pool task; ``None`` picks ``ceil(n / (4 * workers))``
         capped at 32 -- large enough to amortize pickling, small enough
@@ -637,7 +675,7 @@ class BatchEngine:
         Enforced inside the worker via an interval timer, so one slow
         item is cut off without losing its chunk-mates.
     use_cache:
-        Memoize the min-plus kernel per worker process (and, serially,
+        Memoize the min-plus kernel per worker process (and, in process,
         per engine) via :mod:`repro.curves.memo`.
     cache_size:
         LRU capacity of each per-process curve cache.  ``None`` (the
@@ -672,9 +710,9 @@ class BatchEngine:
         its fingerprint against this campaign and skip every journaled
         item.  Without an existing file, a fresh journal is started.
     max_pool_restarts:
-        Bound on fresh dedicated pools built during the supervised retry
-        phase; beyond it, remaining suspect items are recorded as
-        crashes rather than restarting pools forever.
+        Bound on fresh one-worker pools built after worker deaths while
+        items run one at a time; beyond it, the remaining items are
+        recorded as crashes rather than restarting pools forever.
     fault_injector:
         Chaos hook (see :mod:`repro.chaos`): a picklable object whose
         ``before_item(item_id, attempt, timeout_exc)`` runs in the worker
@@ -707,8 +745,12 @@ class BatchEngine:
         status: Optional[str] = None,
         status_interval: float = 1.0,
     ) -> None:
+        if n_workers is not None and n_workers < 0:
+            raise ValueError("n_workers must be >= 0")
         if chunksize is not None and chunksize <= 0:
             raise ValueError("chunksize must be positive")
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be positive")
         if max_pool_restarts < 0:
             raise ValueError("max_pool_restarts must be >= 0")
         if resume and journal is None:
@@ -736,9 +778,6 @@ class BatchEngine:
         self.fault_injector = fault_injector
         self.status_path = status
         self.status_interval = status_interval
-        #: Live :class:`~repro.obs.status.StatusWriter` while run() is
-        #: active (the pool path feeds worker liveness through it).
-        self._status: Optional[StatusWriter] = None
         # Persistent-cache plumbing: one store per engine (workers build
         # their own against the same directory).
         self._store: Optional[DiskCacheStore] = (
@@ -747,8 +786,8 @@ class BatchEngine:
         self._result_cache: Optional[ResultCache] = (
             ResultCache(self._store) if self._store is not None else None
         )
-        # Serial-mode cache persists across run() calls, mirroring the
-        # per-worker persistent caches of the pool path.
+        # The in-process curve cache persists across run() calls,
+        # mirroring the per-worker persistent caches of the pool.
         self._serial_cache: Optional[memo.CurveCache] = (
             memo.CurveCache(
                 self.cache_size,
@@ -764,78 +803,107 @@ class BatchEngine:
 
     def run(self, items: Sequence[BatchItem]) -> BatchReport:
         """Analyze every item; returns a report in submission order."""
-        items = list(items)
-        records: List[_Record] = [
+        work = [
             (
                 i,
-                item.item_id if item.item_id is not None else str(i),
-                item.system,
-                item.method,
-                item.horizon,
-                item.options if item.options is not None else self.options,
-                self.audit,
+                replace(
+                    item,
+                    item_id=str(i) if item.item_id is None else item.item_id,
+                    options=self.options if item.options is None else item.options,
+                ),
             )
             for i, item in enumerate(items)
         ]
         t0 = time.perf_counter()
-        journal, digests, resumed = self._prepare_journal(records)
-        pending = (
-            records
-            if not resumed
-            else [r for r in records if r[0] not in resumed]
-        )
+        # Journal and result cache share one key space: content digests.
+        digests: Dict[int, str] = {}
+        if self.journal is not None or self._result_cache is not None:
+            digests = {
+                i: item_digest(item.system, item.method, item.horizon, item.options)
+                for i, item in work
+            }
+        journal, resumed = self._open_journal(work, digests)
+        pending = [w for w in work if w[0] not in resumed]
         # Persistent result cache: serve still-pending items whose full
         # record is already stored, exactly like journal resume (the
         # cached value *is* the record, re-emitted verbatim).
-        cache_keys: Optional[Dict[int, str]] = None
-        cached: Optional[Dict[int, ItemResult]] = None
-        if self._result_cache is not None and pending:
-            cache_keys = self._cache_keys(pending, digests)
-            cached = self._load_cached(pending, cache_keys)
-            if cached:
-                pending = [r for r in pending if r[0] not in cached]
-        status = self._make_status()
-        self._status = status
+        keys: Dict[int, str] = {}
+        cached: Dict[int, ItemResult] = {}
+        if self._result_cache is not None:
+            for i, item in pending:
+                keys[i] = result_key(
+                    digests[i],
+                    audit=self.audit,
+                    convergence=item.options is not None and item.options.convergence,
+                )
+                payload = self._result_cache.get(keys[i])
+                if payload is not None:
+                    cached[i] = ItemResult.from_cache(payload, i)
+            pending = [w for w in pending if w[0] not in cached]
+        status = (
+            StatusWriter(
+                self.status_path, campaign="batch", interval=self.status_interval
+            )
+            if self.status_path is not None
+            else None
+        )
+        registry = _obs_metrics.active_metrics()
+
+        def emit(rec: ItemResult) -> None:
+            """Journal, cache and count one final record, in that order.
+
+            Resumed records are already journaled and cached records
+            already cached, so each skips those steps.
+            """
+            record = None
+            if journal is not None and not rec.resumed:
+                record = rec.to_dict()
+                journal.append(digests[rec.index], rec.index, record)
+                if registry is not None:
+                    registry.inc("repro_batch_journal_records_total")
+            if (
+                rec.index in keys
+                and rec.journal_payload is None
+                and rec.ok
+                and not rec.degraded
+                and not rec.attempts
+                and rec.timeout_enforced is not False
+            ):
+                # Only clean first-try successes describe the item rather
+                # than this run's environment.  Worker trace/metrics
+                # snapshots describe this run too, so they are stripped.
+                record = rec.to_dict() if record is None else record
+                record.pop("trace", None)
+                record.pop("metrics", None)
+                self._result_cache.put(keys[rec.index], record)
+            if status is not None:
+                status.item_done(
+                    rec.status,
+                    resumed=rec.resumed,
+                    cached=rec.cached,
+                    retried=len(rec.attempts) > 1,
+                )
+
+        n_workers = self.n_workers if self.n_workers > 1 and len(pending) > 1 else 0
         try:
             with trace_span(
-                "batch.run", n_items=len(records), n_workers=self.n_workers
+                "batch.run", n_items=len(work), n_workers=self.n_workers
             ) as span:
-                journal_sink = self._journal_sink(journal, digests)
-                on_final = self._status_sink(
-                    self._result_sink(journal_sink, cache_keys), status
-                )
                 if status is not None:
                     status.begin(
-                        total=len(records),
-                        n_workers=self.n_workers,
-                        journal=journal,
+                        total=len(work), n_workers=self.n_workers, journal=journal
                     )
-                    for r in (resumed or {}).values():
-                        status.item_done(r.status, resumed=True)
-                if cached:
-                    # Journal cache hits up front (in submission order) so
-                    # the journal stays complete for later resumes.
-                    for index in sorted(cached):
-                        r = cached[index]
-                        if journal_sink is not None:
-                            journal_sink(r)
-                        if status is not None:
-                            status.item_done(r.status, cached=True)
-                if self.n_workers > 1 and len(pending) > 1:
-                    results = self._run_pool(pending, on_final)
-                    n_workers = self.n_workers
-                else:
-                    results = self._run_serial(pending, on_final)
-                    n_workers = 0
-                if cached:
-                    results.extend(cached.values())
-                if resumed:
-                    results.extend(resumed.values())
+                # Cache hits are journaled up front, in submission order,
+                # so the journal stays complete for later resumes.
+                for rec in [*resumed.values(), *(cached[i] for i in sorted(cached))]:
+                    emit(rec)
+                results = self._execute(pending, n_workers, status, emit)
+                results.extend(cached.values())
+                results.extend(resumed.values())
                 results.sort(key=lambda r: r.index)
                 self._merge_observability(results)
                 span.set_attrs(n_ok=sum(1 for r in results if r.ok))
         finally:
-            self._status = None
             if status is not None:
                 status.finish()
             if journal is not None:
@@ -865,182 +933,49 @@ class BatchEngine:
     # journal plumbing
     # ------------------------------------------------------------------
 
-    def _prepare_journal(
-        self, records: List[_Record]
-    ) -> Tuple[
-        Optional[BatchJournal],
-        Optional[Dict[int, str]],
-        Optional[Dict[int, ItemResult]],
-    ]:
-        """Open/create the journal; returns (journal, digests, resumed).
+    def _open_journal(
+        self, work: List[Tuple[int, BatchItem]], digests: Dict[int, str]
+    ) -> Tuple[Optional[BatchJournal], Dict[int, ItemResult]]:
+        """Open or create the journal; returns (journal, resumed).
 
-        ``digests`` maps record index -> content digest, ``resumed`` maps
-        record index -> rehydrated result for items recovered from an
-        existing journal.  All three are ``None`` when journaling is off.
+        ``resumed`` maps work index -> rehydrated result for items
+        recovered from an existing journal.  Without journaling it is
+        ``(None, {})``.
         """
         if self.journal is None:
-            return None, None, None
+            return None, {}
         journal = (
             self.journal
             if isinstance(self.journal, BatchJournal)
             else BatchJournal(self.journal)
         )
-        digests = {
-            index: item_digest(system, method, horizon, options)
-            for index, _id, system, method, horizon, options, _audit in records
-        }
         fingerprint = campaign_fingerprint(list(digests.values()), audit=self.audit)
-        if self.resume and os.path.exists(journal.path):
-            with trace_span("batch.resume", journal=journal.path) as span:
-                entries = journal.open_resume(fingerprint)
-                by_digest: Dict[str, List[Dict[str, Any]]] = {}
-                for entry in entries:
-                    by_digest.setdefault(entry["digest"], []).append(entry)
-                resumed: Dict[int, ItemResult] = {}
-                for index, _id, *_rest in records:
-                    bucket = by_digest.get(digests[index])
-                    if bucket:
-                        entry = bucket.pop(0)
-                        resumed[index] = ItemResult.from_journal(
-                            entry["record"], index
-                        )
-                span.set_attrs(
-                    n_entries=len(entries),
-                    n_skipped=len(resumed),
-                    torn_tail=journal.torn_tail_dropped,
-                )
-            registry = _obs_metrics.active_metrics()
-            if registry is not None:
-                registry.inc(
-                    "repro_batch_resume_skipped_total", value=len(resumed)
-                )
-                if journal.torn_tail_dropped:
-                    registry.inc("repro_batch_journal_torn_tails_total")
-            return journal, digests, resumed
-        journal.create(fingerprint)
-        return journal, digests, None
-
-    def _journal_sink(
-        self,
-        journal: Optional[BatchJournal],
-        digests: Optional[Dict[int, str]],
-    ) -> Optional[Callable[[ItemResult], None]]:
-        if journal is None or digests is None:
-            return None
-
+        if not (self.resume and os.path.exists(journal.path)):
+            journal.create(fingerprint)
+            return journal, {}
+        with trace_span("batch.resume", journal=journal.path) as span:
+            entries = journal.open_resume(fingerprint)
+            by_digest: Dict[str, List[Dict[str, Any]]] = {}
+            for entry in entries:
+                by_digest.setdefault(entry["digest"], []).append(entry)
+            resumed: Dict[int, ItemResult] = {}
+            for index, _item in work:
+                bucket = by_digest.get(digests[index])
+                if bucket:
+                    resumed[index] = ItemResult.from_journal(
+                        bucket.pop(0)["record"], index
+                    )
+            span.set_attrs(
+                n_entries=len(entries),
+                n_skipped=len(resumed),
+                torn_tail=journal.torn_tail_dropped,
+            )
         registry = _obs_metrics.active_metrics()
-
-        def sink(item: ItemResult) -> None:
-            journal.append(digests[item.index], item.index, item.to_dict())
-            if registry is not None:
-                registry.inc("repro_batch_journal_records_total")
-
-        return sink
-
-    # ------------------------------------------------------------------
-    # persistent result-cache plumbing
-    # ------------------------------------------------------------------
-
-    def _cache_keys(
-        self, records: List[_Record], digests: Optional[Dict[int, str]]
-    ) -> Dict[int, str]:
-        """Result-cache key per record index (content digest x context).
-
-        Journal digests are reused when journaling is on, so the two
-        mechanisms share one key space by construction.
-        """
-        keys: Dict[int, str] = {}
-        for record in records:
-            index, _id, system, method, horizon, options, audit = record
-            digest = (
-                digests[index]
-                if digests is not None
-                else item_digest(system, method, horizon, options)
-            )
-            keys[index] = result_key(
-                digest,
-                audit=audit,
-                convergence=options is not None and options.convergence,
-            )
-        return keys
-
-    def _load_cached(
-        self, records: List[_Record], keys: Dict[int, str]
-    ) -> Dict[int, ItemResult]:
-        """Records whose full result is already in the persistent cache."""
-        assert self._result_cache is not None
-        cached: Dict[int, ItemResult] = {}
-        for record in records:
-            index = record[0]
-            payload = self._result_cache.get(keys[index])
-            if payload is not None:
-                cached[index] = ItemResult.from_cache(payload, index)
-        return cached
-
-    def _result_sink(
-        self,
-        on_final: Optional[Callable[[ItemResult], None]],
-        keys: Optional[Dict[int, str]],
-    ) -> Optional[Callable[[ItemResult], None]]:
-        """Compose ``on_final`` with result-cache write-through.
-
-        Only clean first-try successes are stored: a retried, degraded,
-        unenforced-timeout or failed record reflects this run's
-        environment, not the item.  Worker trace/metrics snapshots are
-        stripped before storing -- they describe this run, not the item,
-        and would replay stale observability.  Resumed/cached records
-        (``journal_payload`` set) are already in the cache.
-        """
-        if self._result_cache is None or keys is None:
-            return on_final
-        result_cache = self._result_cache
-
-        def sink(item: ItemResult) -> None:
-            if on_final is not None:
-                on_final(item)
-            if (
-                item.ok
-                and not item.degraded
-                and not item.attempts
-                and item.journal_payload is None
-                and item.timeout_enforced is not False
-                and item.index in keys
-            ):
-                record = item.to_dict()
-                record.pop("trace", None)
-                record.pop("metrics", None)
-                result_cache.put(keys[item.index], record)
-
-        return sink
-
-    # ------------------------------------------------------------------
-    # live status plumbing
-    # ------------------------------------------------------------------
-
-    def _make_status(self) -> Optional[StatusWriter]:
-        if self.status_path is None:
-            return None
-        return StatusWriter(
-            self.status_path,
-            campaign="batch",
-            interval=self.status_interval,
-        )
-
-    @staticmethod
-    def _status_sink(
-        on_final: Optional[Callable[[ItemResult], None]],
-        status: Optional[StatusWriter],
-    ) -> Optional[Callable[[ItemResult], None]]:
-        """Compose the journal sink with per-item status accounting."""
-        if status is None:
-            return on_final
-
-        def sink(item: ItemResult) -> None:
-            if on_final is not None:
-                on_final(item)
-            status.item_done(item.status, retried=len(item.attempts) > 1)
-
-        return sink
+        if registry is not None:
+            registry.inc("repro_batch_resume_skipped_total", value=len(resumed))
+            if journal.torn_tail_dropped:
+                registry.inc("repro_batch_journal_torn_tails_total")
+        return journal, resumed
 
     # ------------------------------------------------------------------
 
@@ -1068,390 +1003,228 @@ class BatchEngine:
                 )
 
     # ------------------------------------------------------------------
-    # serial path
+    # the supervisor
     # ------------------------------------------------------------------
 
-    def _run_serial(
+    def _execute(
         self,
-        records: List[_Record],
-        on_final: Optional[Callable[[ItemResult], None]] = None,
+        work: List[Tuple[int, BatchItem]],
+        n_workers: int,
+        status: Optional[StatusWriter],
+        emit: Callable[[ItemResult], None],
     ) -> List[ItemResult]:
-        if self._serial_cache is not None:
-            with memo.curve_cache(cache=self._serial_cache) as cache:
-                return [
-                    self._serial_item(r, cache, on_final) for r in records
-                ]
-        return [self._serial_item(r, None, on_final) for r in records]
+        """Run ``work`` to final records, emitting each as it settles.
 
-    def _serial_item(
-        self,
-        record: _Record,
-        cache: Optional[memo.CurveCache],
-        on_final: Optional[Callable[[ItemResult], None]],
-    ) -> ItemResult:
-        policy = self.retry
-        injector = self.fault_injector
-        item = _analyze_one(
-            record, self.timeout, cache, injector=injector, attempt=1
-        )
-        if policy is not None and policy.should_retry(1, item.status, item.error):
-            pending = _Pending(record=record, attempt=1)
-            pending.note(item.status, item.error, item.wall_time)
-            rungs = (
-                degradation_rungs(record[5]) if policy.degrade else [record[5]]
-            )
-            while policy.should_retry(pending.attempt, item.status, item.error):
-                pending.rung = escalate_rung(
-                    pending.rung, len(rungs), pending.attempt
-                )
-                self._backoff(policy, pending)
-                with trace_span(
-                    "batch.retry",
-                    item=record[1],
-                    attempt=pending.attempt + 1,
-                    rung=pending.rung,
-                ):
-                    item = _analyze_one(
-                        record,
-                        self.timeout,
-                        cache,
-                        injector=injector,
-                        attempt=pending.attempt + 1,
-                        options_override=rungs[pending.rung],
-                    )
-                pending.attempt += 1
-                pending.note(item.status, item.error, item.wall_time)
-                self._count_retry(item.status)
-            item = self._finalize_pending(pending, item)
-        if on_final is not None:
-            on_final(item)
-        return item
-
-    # ------------------------------------------------------------------
-    # pool path
-    # ------------------------------------------------------------------
-
-    def _chunk(self, records: List[_Record]) -> List[List[_Record]]:
-        size = self.chunksize
-        if size is None:
-            size = max(1, min(32, -(-len(records) // (4 * self.n_workers))))
-        return [records[i : i + size] for i in range(0, len(records), size)]
-
-    def _payload(
-        self,
-        chunk: List[_Record],
-        capture: Optional[Dict[str, bool]],
-        attempt: int = 1,
-        options_override: Optional[AnalysisOptions] = None,
-    ):
-        return (
-            chunk,
-            self.timeout,
-            self.use_cache,
-            self.cache_size,
-            capture,
-            time.time(),
-            self.fault_injector,
-            attempt,
-            options_override,
-            self.cache_dir,
+        A first pass runs every item once, chunked on the pool (one item
+        per chunk in process, so records are emitted as they finish).
+        Items whose attempt the retry policy accepts, and every item of a
+        chunk whose worker died, then run one at a time: on the pool each
+        runs alone in a one-worker pool, so a death is attributable.  That
+        pool is rebuilt after each death, up to ``max_pool_restarts``;
+        past the bound, the remaining items are recorded as crashes.
+        """
+        pooled = n_workers > 0
+        template = _Chunk(
+            items=(),
+            attempt=1,
+            timeout=self.timeout,
+            audit=self.audit,
+            cache_size=self.cache_size if self.use_cache else None,
+            cache_dir=self.cache_dir,
+            injector=self.fault_injector,
+            trace=pooled and _obs_trace.tracing_enabled(),
+            detail=pooled and _obs_trace.detail_enabled(),
+            metrics=pooled and _obs_metrics.metrics_enabled(),
         )
 
-    def _run_pool(
-        self,
-        records: List[_Record],
-        on_final: Optional[Callable[[ItemResult], None]] = None,
-    ) -> List[ItemResult]:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        policy = self.retry
-        capture: Optional[Dict[str, bool]] = {
-            "trace": _obs_trace.tracing_enabled(),
-            "detail": _obs_trace.detail_enabled(),
-            "metrics": _obs_metrics.metrics_enabled(),
-        }
-        if not (capture["trace"] or capture["metrics"]):
-            capture = None
+        def executor(workers: int) -> _InProcess | _Pool:
+            if workers:
+                return _Pool(workers, status)
+            return _InProcess(self._serial_cache)
 
         results: List[ItemResult] = []
-        pending: List[_Pending] = []
-        registry = _obs_metrics.active_metrics()
 
-        def finish(item: ItemResult) -> None:
-            results.append(item)
-            if on_final is not None:
-                on_final(item)
+        def finish(final: Optional[ItemResult]) -> bool:
+            """Collect and emit a final record; ``False`` when there is none."""
+            if final is None:
+                return False
+            results.append(final)
+            emit(final)
+            return True
 
-        def take(chunk_payload: Dict[str, Any]) -> None:
-            if chunk_payload.get("queue_wait") is not None and registry is not None:
-                registry.observe(
-                    "repro_batch_queue_wait_seconds",
-                    chunk_payload["queue_wait"],
-                )
-            if self._status is not None:
-                self._status.worker_seen(chunk_payload.get("pid"))
-            for item in chunk_payload["results"]:
-                if policy is not None and policy.should_retry(
-                    1, item.status, item.error
-                ):
-                    p = _Pending(
-                        record=self._record_by_index[item.index], attempt=1
-                    )
-                    p.note(item.status, item.error, item.wall_time)
-                    pending.append(p)
-                else:
-                    finish(item)
-
-        self._record_by_index = {r[0]: r for r in records}
-        with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = {
-                pool.submit(_worker_chunk, self._payload(chunk, capture)): chunk
-                for chunk in self._chunk(records)
-            }
-            for fut in as_completed(futures):
-                try:
-                    take(fut.result())
-                except Exception:  # BrokenProcessPool, result-pickling, ...
-                    # A worker died (or the chunk result failed to travel
-                    # back).  Innocent chunk-mates are retried one at a
-                    # time below so the culprit can be pinned down.
-                    pending.extend(
-                        _Pending(record=rec) for rec in futures[fut]
-                    )
-
-        # Second pass: supervised isolation/retry in dedicated pools.  A
-        # record that keeps breaking its pool is quarantined (with a
-        # retry policy) or reported as a crash (without); everything else
-        # comes back with a real result.
-        self._supervise(pending, capture, finish)
-        return results
-
-    def _supervise(
-        self,
-        pending: List[_Pending],
-        capture: Optional[Dict[str, bool]],
-        finish: Callable[[ItemResult], None],
-    ) -> None:
-        """Drain the retry/isolation queue through dedicated pools.
-
-        Each queue entry runs alone in a single-worker pool, so a death
-        is unambiguously attributable.  Pools are rebuilt after each kill
-        up to ``max_pool_restarts``; past the bound, remaining entries
-        are finalized as crashes instead of thrashing.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        if not pending:
-            return
-        policy = self.retry
-        registry = _obs_metrics.active_metrics()
-        restarts = 0
-        pool: Optional[ProcessPoolExecutor] = None
+        size = 1
+        if pooled:
+            size = self.chunksize or max(1, min(32, -(-len(work) // (4 * n_workers))))
+        queue: List[_Tries] = []
+        first = executor(n_workers)
         try:
-            while pending:
-                if pool is None:
+            for chunk, outcome in first.run(
+                [
+                    replace(template, items=tuple(work[i : i + size]))
+                    for i in range(0, len(work), size)
+                ]
+            ):
+                # When a worker died, any chunk-mate may be the culprit:
+                # each runs again alone, and this try does not count.
+                dead = isinstance(outcome, Exception)
+                for k, (i, item) in enumerate(chunk.items):
+                    t = _Tries(i, item)
+                    if dead or not finish(self._settle(t, outcome[k])):
+                        queue.append(t)
+        finally:
+            first.close()
+
+        solo = None
+        restarts = 0
+        try:
+            while queue:
+                t = queue[0]
+                if solo is None:
                     if restarts > self.max_pool_restarts:
-                        for p in pending:
+                        for rest in queue:
                             finish(
-                                self._give_up(
-                                    p,
-                                    "retry pool restart budget "
-                                    f"({self.max_pool_restarts}) exhausted",
+                                self._failure(
+                                    rest,
+                                    STATUS_CRASH,
+                                    "worker supervision gave up: retry pool "
+                                    f"restart budget ({self.max_pool_restarts}) "
+                                    "exhausted",
                                 )
                             )
-                        pending.clear()
                         break
-                    pool = ProcessPoolExecutor(max_workers=1)
-                p = pending[0]
-                rungs = (
-                    degradation_rungs(p.record[5])
-                    if policy is not None and policy.degrade
-                    else [p.record[5]]
-                )
-                if p.attempt >= 1 and policy is not None:
-                    self._backoff(policy, p)
-                attempt = p.attempt + 1
+                    solo = executor(min(n_workers, 1))
+                if t.attempt and self.retry is not None:
+                    delay = self.retry.delay(t.attempt, key=t.item.item_id)
+                    if delay > 0:
+                        time.sleep(delay)
+                attempt = t.attempt + 1
+                item = t.item
+                if t.rung:  # a lower ladder rung replaces the item's options
+                    rungs = degradation_rungs(item.options)
+                    item = replace(item, options=rungs[t.rung])
                 t_run = time.perf_counter()
                 with trace_span(
-                    "batch.retry",
-                    item=p.record[1],
-                    attempt=attempt,
-                    rung=p.rung,
+                    "batch.retry", item=item.item_id, attempt=attempt, rung=t.rung
                 ):
-                    try:
-                        fut = pool.submit(
-                            _worker_chunk,
-                            self._payload(
-                                [p.record],
-                                capture,
-                                attempt=attempt,
-                                options_override=rungs[p.rung]
-                                if p.rung > 0
-                                else None,
-                            ),
-                        )
-                        hang = policy.hang_timeout if policy else None
-                        try:
-                            chunk_result = fut.result(timeout=hang)
-                        except FuturesTimeout:
-                            # Hung worker: no result within the watchdog
-                            # budget.  Kill it and treat as a pool death.
-                            for proc in list(pool._processes.values()):
-                                proc.kill()
-                            pool.shutdown(wait=True, cancel_futures=True)
-                            pool = None
-                            raise _PoolDied(
-                                f"no result within the {hang:g}s hang "
-                                f"watchdog; worker killed"
-                            ) from None
-                    except _PoolDied as exc:
-                        died = exc
-                    except Exception as exc:  # noqa: BLE001 - crash isolation
-                        died = exc
-                        try:
-                            pool.shutdown(wait=True, cancel_futures=True)
-                        except Exception:  # pragma: no cover
-                            pass
-                        pool = None
-                    else:
-                        died = None
-                wall = time.perf_counter() - t_run
-                if died is not None:
-                    restarts += 1
-                    p.pool_kills += 1
-                    p.attempt = attempt
-                    p.note(
-                        STATUS_CRASH,
-                        f"worker process died while analyzing this item "
-                        f"({type(died).__name__}: {died})",
-                        wall,
+                    ((_chunk, outcome),) = solo.run(
+                        [replace(template, items=((t.index, item),), attempt=attempt)]
                     )
+                if isinstance(outcome, Exception):
+                    wall = time.perf_counter() - t_run
+                    solo.close()
+                    solo = None
+                    restarts += 1
+                    registry = _obs_metrics.active_metrics()
                     if registry is not None:
                         registry.inc("repro_batch_pool_restarts_total")
-                    if policy is None:
-                        # Legacy semantics: one isolation try, then a
-                        # structured crash record.
-                        finish(_crash_result(p.record, died, wall=wall))
-                        pending.pop(0)
-                    elif p.pool_kills >= policy.max_pool_kills:
-                        finish(
-                            self._quarantine(
-                                p,
-                                f"killed {p.pool_kills} dedicated pools",
-                            )
-                        )
-                        pending.pop(0)
-                    elif attempt >= policy.max_attempts:
-                        finish(
-                            self._quarantine(
-                                p,
-                                f"still crashing after {attempt} attempts",
-                            )
-                        )
-                        pending.pop(0)
-                    else:
-                        self._count_retry(STATUS_CRASH)
-                        p.rung = escalate_rung(p.rung, len(rungs), attempt)
-                    continue  # rebuild the pool for whoever is next
-
-                item = chunk_result["results"][0]
-                p.attempt = attempt
-                p.note(item.status, item.error, item.wall_time)
-                if policy is not None and policy.should_retry(
-                    attempt, item.status, item.error
-                ):
-                    self._count_retry(item.status)
-                    p.rung = escalate_rung(p.rung, len(rungs), attempt)
-                    continue  # same pool, next attempt
-                finish(self._finalize_pending(p, item))
-                pending.pop(0)
+                    died = (
+                        "worker process died while analyzing this item "
+                        f"({type(outcome).__name__}: {outcome})"
+                    )
+                    done = finish(self._settle(t, None, died, wall))
+                else:
+                    done = finish(self._settle(t, outcome[0]))
+                if done:
+                    queue.pop(0)
         finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+            if solo is not None:
+                solo.close()
+        return results
 
-    # ------------------------------------------------------------------
-    # retry bookkeeping shared by serial and pool paths
-    # ------------------------------------------------------------------
+    def _settle(
+        self,
+        t: _Tries,
+        result: Optional[ItemResult],
+        died: str = "",
+        wall: float = 0.0,
+    ) -> Optional[ItemResult]:
+        """Settle one attempt of ``t``: its final record, or ``None`` to retry.
 
-    @staticmethod
-    def _backoff(policy: RetryPolicy, p: _Pending) -> None:
-        delay = policy.delay(p.attempt, key=p.record[1])
-        if delay > 0:
-            time.sleep(delay)
-
-    @staticmethod
-    def _count_retry(status: str) -> None:
+        ``result`` is ``None`` when the worker died running the item
+        alone; ``died`` says how and ``wall`` how long the attempt took.
+        Every decision is made here: finish, retry (walking the
+        degradation ladder), quarantine, or record a crash.
+        """
+        policy = self.retry
+        t.attempt += 1
+        if result is not None:
+            status, error, wall = result.status, result.error, result.wall_time
+        else:
+            status, error = STATUS_CRASH, died
+        t.log.append(
+            {
+                "attempt": t.attempt,
+                "status": status,
+                "error": error,
+                "wall_time": round(wall, 6),
+                "rung": t.rung,
+            }
+        )
+        if result is None:
+            t.pool_kills += 1
+            if policy is None:  # one isolation try, then a crash record
+                return self._failure(t, STATUS_CRASH, died)
+            if t.pool_kills >= policy.max_pool_kills:
+                return self._quarantine(t, f"killed {t.pool_kills} dedicated pools")
+            if t.attempt >= policy.max_attempts:
+                return self._quarantine(
+                    t, f"still crashing after {t.attempt} attempts"
+                )
+        elif policy is None or not policy.should_retry(t.attempt, status, error):
+            # A transient failure is quarantined only once it was retried:
+            # with max_attempts=1 it is reported as it is.
+            if (
+                policy is not None
+                and t.attempt > 1
+                and not result.ok
+                and policy.is_transient(status, error)
+            ):
+                return self._quarantine(
+                    t, f"transient '{status}' persisted through {t.attempt} attempts"
+                )
+            if len(t.log) > 1:
+                result.attempts = list(t.log)
+            if result.ok and t.rung:
+                result.degraded = True
+                result.rung = t.rung
+            return result
         registry = _obs_metrics.active_metrics()
         if registry is not None:
             registry.inc("repro_batch_retries_total", status=status)
+        n_rungs = len(degradation_rungs(t.item.options)) if policy.degrade else 1
+        t.rung = escalate_rung(t.rung, n_rungs, t.attempt)
+        return None
 
-    def _finalize_pending(self, p: _Pending, item: ItemResult) -> ItemResult:
-        """Attach retry history to a final result; quarantine exhaustion."""
-        policy = self.retry
-        if (
-            policy is not None
-            and not item.ok
-            and policy.is_transient(item.status, item.error)
-        ):
-            # Attempts exhausted on a transient failure: poison item.
-            return self._quarantine(
-                p,
-                f"transient '{item.status}' persisted through "
-                f"{p.attempt} attempts",
-            )
-        if len(p.log) > 1:
-            item.attempts = list(p.log)
-        if item.ok and p.rung > 0:
-            item.degraded = True
-            item.rung = p.rung
-        return item
-
-    def _quarantine(self, p: _Pending, reason: str) -> ItemResult:
-        index, item_id, system, method, horizon, options, _audit = p.record
+    def _quarantine(self, t: _Tries, reason: str) -> ItemResult:
         registry = _obs_metrics.active_metrics()
         if registry is not None:
             registry.inc("repro_batch_quarantined_total")
-        last_error = p.log[-1]["error"] if p.log else None
-        return ItemResult(
-            index=index,
-            item_id=item_id,
-            method=method,
-            status=STATUS_QUARANTINED,
-            error=f"quarantined: {reason}"
-            + (f" (last: {last_error})" if last_error else ""),
-            wall_time=sum(e.get("wall_time", 0.0) for e in p.log),
-            attempts=list(p.log),
-            quarantine=quarantine_payload(
-                system, method, horizon, options, p.log, reason
+        last_error = t.log[-1]["error"]
+        item = t.item
+        return self._failure(
+            t,
+            STATUS_QUARANTINED,
+            f"quarantined: {reason}" + (f" (last: {last_error})" if last_error else ""),
+            quarantine_payload(
+                item.system, item.method, item.horizon, item.options, t.log, reason
             ),
         )
 
-    def _give_up(self, p: _Pending, reason: str) -> ItemResult:
-        index, item_id, _system, method, *_ = p.record
+    @staticmethod
+    def _failure(
+        t: _Tries,
+        status: str,
+        error: str,
+        quarantine: Optional[Dict[str, Any]] = None,
+    ) -> ItemResult:
+        """A record for an item the engine gave up on, without a result."""
         return ItemResult(
-            index=index,
-            item_id=item_id,
-            method=method,
-            status=STATUS_CRASH,
-            wall_time=sum(e.get("wall_time", 0.0) for e in p.log),
-            attempts=list(p.log) if len(p.log) > 1 else [],
-            error=f"worker supervision gave up: {reason}",
+            index=t.index,
+            item_id=t.item.item_id,
+            method=t.item.method,
+            status=status,
+            error=error,
+            wall_time=sum(e["wall_time"] for e in t.log),
+            attempts=list(t.log) if quarantine is not None or len(t.log) > 1 else [],
+            quarantine=quarantine,
         )
-
-
-class _PoolDied(RuntimeError):
-    """Internal: a dedicated retry pool died or was killed by the watchdog."""
-
-
-def _crash_result(record: _Record, exc: Exception, wall: float = 0.0) -> ItemResult:
-    index, item_id, _system, method, _horizon, _options, _audit = record
-    return ItemResult(
-        index=index,
-        item_id=item_id,
-        method=method,
-        status=STATUS_CRASH,
-        wall_time=wall,
-        error=f"worker process died while analyzing this item "
-        f"({type(exc).__name__}: {exc})",
-    )

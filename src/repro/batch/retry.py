@@ -93,14 +93,9 @@ class RetryPolicy:
         transient (retried like a crash) even though the worker survived.
         Matched against the leading ``TypeName:`` of the error string.
     max_pool_kills:
-        Quarantine an item after it has killed this many *dedicated*
-        pools (pools retrying only that item) -- the unambiguous poison
+        Quarantine an item after it has killed this many one-worker
+        pools (pools running only that item) -- the unambiguous poison
         signature.
-    hang_timeout:
-        Watchdog for the supervised retry phase: a dedicated-pool retry
-        that produces no result within this many seconds is declared
-        hung, its worker is killed, and the event counts as a pool kill.
-        ``None`` disables the watchdog.
     degrade:
         Walk the degradation ladder on repeated failures (see
         :func:`degradation_rungs`).  When off, every retry reuses the
@@ -115,7 +110,6 @@ class RetryPolicy:
     retry_statuses: Tuple[str, ...] = _TRANSIENT_STATUSES
     transient_errors: Tuple[str, ...] = ("ChaosTransientError", "OSError")
     max_pool_kills: int = 2
-    hang_timeout: Optional[float] = None
     degrade: bool = True
 
     def __post_init__(self) -> None:
@@ -127,8 +121,6 @@ class RetryPolicy:
             raise ValueError("jitter must be in [0, 1)")
         if self.max_pool_kills < 1:
             raise ValueError("max_pool_kills must be >= 1")
-        if self.hang_timeout is not None and self.hang_timeout <= 0:
-            raise ValueError("hang_timeout must be positive")
 
     # ------------------------------------------------------------------
 

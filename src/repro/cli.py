@@ -893,7 +893,7 @@ def _shard_filter(args, items, options) -> Optional[List["BatchItem"]]:
 
 
 def _cmd_batch(args) -> int:
-    from .batch import BatchEngine, RetryPolicy
+    from .batch import BatchEngine, JournalError, RetryPolicy
 
     try:
         items = _parse_batch_items(args.input, args.method)
@@ -906,7 +906,27 @@ def _cmd_batch(args) -> int:
     if args.resume and not args.journal:
         print("error: --resume requires --journal", file=sys.stderr)
         return 2
-    options = _options_from_args(args)
+    # Exit status 1 means "some items failed", so a usage error must not
+    # escape as a traceback (which also exits 1).
+    try:
+        options = _options_from_args(args)
+        engine = BatchEngine(
+            n_workers=args.workers,
+            chunksize=args.chunksize,
+            timeout=args.timeout,
+            use_cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            audit=args.audit,
+            options=options,
+            retry=RetryPolicy(max_attempts=args.retry) if args.retry else None,
+            journal=args.journal,
+            resume=args.resume,
+            status=args.status,
+            status_interval=args.status_interval,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.shard_index is not None:
         sharded = _shard_filter(args, items, options)
         if sharded is None:
@@ -916,27 +936,17 @@ def _cmd_batch(args) -> int:
         print("error: --shard-count/--shard-manifest require --shard-index",
               file=sys.stderr)
         return 2
-    engine = BatchEngine(
-        n_workers=args.workers,
-        chunksize=args.chunksize,
-        timeout=args.timeout,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        audit=args.audit,
-        options=options,
-        retry=RetryPolicy(max_attempts=args.retry) if args.retry else None,
-        journal=args.journal,
-        resume=args.resume,
-        status=args.status,
-        status_interval=args.status_interval,
-    )
-    with observe(
-        trace_out=args.trace_out,
-        metrics_out=args.metrics_out,
-        profile_out=args.profile_out,
-        profile_mem_out=args.profile_mem_out,
-    ):
-        report = engine.run(items)
+    try:
+        with observe(
+            trace_out=args.trace_out,
+            metrics_out=args.metrics_out,
+            profile_out=args.profile_out,
+            profile_mem_out=args.profile_mem_out,
+        ):
+            report = engine.run(items)
+    except JournalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for record in report:
         print(json.dumps(record.to_dict(), allow_nan=False))
     print(report.summary(), file=sys.stderr)

@@ -7,13 +7,16 @@ method (same gating as the engine's own crash tests).
 import json
 import multiprocessing
 import os
+import time
 
 import pytest
 
+from repro.analysis.admission import METHODS
 from repro.batch import (
     STATUS_CRASH,
     STATUS_OK,
     STATUS_QUARANTINED,
+    STATUS_TIMEOUT,
     BatchEngine,
     BatchItem,
     RetryPolicy,
@@ -125,6 +128,47 @@ class TestCrashWithPolicy:
         assert any(
             "restart budget" in (by_id[f"b{i}"].error or "") for i in range(3)
         )
+
+
+class _SleepyAnalysis:
+    """Fake analyzer whose analysis outlives the item timeout."""
+
+    name = "Sleepy"
+    policy = None
+
+    def __init__(self, horizon=None, options=None):
+        pass
+
+    def analyze(self, system):
+        time.sleep(30.0)
+        raise AssertionError("the item timeout should have fired")
+
+
+class TestFinalStatusIgnoresChunkMates:
+    """With no retry budget left, a timeout is reported as a timeout --
+    whether the item ran in process, on the pool, or alone after a
+    chunk-mate killed the worker they shared."""
+
+    @pytest.mark.parametrize("way", ["in_process", "pool", "chunk_mate_crash"])
+    def test_timeout_is_not_quarantined(self, way, monkeypatch):
+        monkeypatch.setitem(METHODS, "Sleepy", _SleepyAnalysis)
+        slow = BatchItem(small_system(), method="Sleepy", item_id="slow")
+        mate = {
+            "in_process": [],
+            "pool": [BatchItem(small_system(), item_id="filler")],
+            "chunk_mate_crash": [BatchItem(system=_Bomb(), item_id="bomb")],
+        }[way]
+        engine = BatchEngine(
+            n_workers=2 if mate else None,
+            chunksize=2,
+            timeout=0.2,
+            retry=RetryPolicy(max_attempts=1, base_delay=0.0),
+        )
+        report = engine.run([slow] + mate)
+        assert report.n_workers == (2 if mate else 0)
+        rec = report[0]
+        assert rec.status == STATUS_TIMEOUT, rec.error
+        assert rec.quarantine is None and rec.attempts == []
 
 
 class TestGoldenDefaultSchema:

@@ -1,5 +1,8 @@
 """Tests for retry/backoff/quarantine/degradation (repro.batch.retry)."""
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.analysis.admission import METHODS
@@ -17,6 +20,7 @@ from repro.batch.retry import (
     escalate_rung,
     quarantine_payload,
 )
+from repro.chaos import ChaosInjector, normalize_record
 from repro.curves.compact import MIN_BUDGET
 from repro.model import (
     Job,
@@ -26,6 +30,20 @@ from repro.model import (
     assign_priorities_proportional_deadline,
 )
 from repro.model.io import system_from_dict, system_to_dict
+
+
+IS_FORK = multiprocessing.get_start_method() == "fork"
+
+#: ``n_workers`` for the in-process executor and for the pool.
+EXECUTORS = [
+    None,
+    pytest.param(
+        2,
+        marks=pytest.mark.skipif(
+            not IS_FORK, reason="pool tests assume fork start method"
+        ),
+    ),
+]
 
 
 def small_system(period=5.0, wcet=1.0, deadline=10.0):
@@ -48,8 +66,6 @@ class TestPolicy:
             RetryPolicy(jitter=1.0)
         with pytest.raises(ValueError):
             RetryPolicy(max_pool_kills=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(hang_timeout=0.0)
 
     def test_transient_classification(self):
         p = RetryPolicy()
@@ -232,3 +248,96 @@ class TestEngineRetry:
         report = BatchEngine().run([BatchItem(small_system(), method="Down")])
         assert report[0].status == "error"
         assert report[0].attempts == []
+
+
+class TestEngineRetryOnBothExecutors:
+    """The same transient faults, in process and on the pool.
+
+    ``ChaosInjector`` draws its faults from ``(seed, item, attempt)``, so
+    they fire alike in a worker and in this process; each run has two
+    items, because a single pending item never uses the pool.
+    """
+
+    ITEMS = [BatchItem(small_system(5.0 + i), item_id=f"i{i}") for i in range(2)]
+
+    @pytest.mark.parametrize("n_workers", EXECUTORS)
+    def test_transient_error_retried_to_success(self, n_workers):
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0, degrade=False)
+        report = BatchEngine(
+            n_workers=n_workers,
+            retry=policy,
+            fault_injector=ChaosInjector(seed=1, error_rate=1.0, max_attempt=1),
+        ).run(self.ITEMS)
+        assert report.n_workers == (n_workers or 0)
+        for rec in report:
+            assert rec.status == STATUS_OK
+            assert [a["status"] for a in rec.attempts] == ["error", "ok"]
+        clean = BatchEngine(retry=policy).run(self.ITEMS)
+        assert [normalize_record(r.to_dict()) for r in report] == [
+            normalize_record(r.to_dict()) for r in clean
+        ]
+
+    @pytest.mark.parametrize("n_workers", EXECUTORS)
+    def test_exhausted_transient_is_quarantined(self, n_workers):
+        report = BatchEngine(
+            n_workers=n_workers,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0, degrade=False),
+            fault_injector=ChaosInjector(seed=1, error_rate=1.0, max_attempt=99),
+        ).run(self.ITEMS)
+        assert report.n_quarantined == 2
+        for rec in report:
+            assert rec.status == STATUS_QUARANTINED
+            assert [a["status"] for a in rec.attempts] == ["error", "error"]
+            assert rec.quarantine["reason"] == (
+                "transient 'error' persisted through 2 attempts"
+            )
+
+
+class _SlowUnlessCompacted:
+    """Outlives the item timeout unless compaction is on, as a large
+    exact analysis does; with a compaction budget it analyzes normally."""
+
+    name = "SlowUnlessCompacted"
+    policy = None
+
+    def __init__(self, horizon=None, options=None):
+        self.horizon = horizon
+        self.options = options
+
+    def analyze(self, system):
+        if self.options is None or self.options.compact_budget is None:
+            time.sleep(30.0)
+        return METHODS["SPP/Exact"](self.horizon, options=self.options).analyze(
+            system
+        )
+
+
+class TestDegradationLadderRescues:
+    """Rung 1 of the ladder rescues an item that is too slow on rung 0."""
+
+    @pytest.mark.parametrize("n_workers", EXECUTORS)
+    @pytest.mark.parametrize("degrade", [True, False])
+    def test_slow_item(self, monkeypatch, n_workers, degrade):
+        monkeypatch.setitem(METHODS, "SlowUnlessCompacted", _SlowUnlessCompacted)
+        items = [
+            BatchItem(small_system(), method="SlowUnlessCompacted", item_id="slow"),
+            BatchItem(small_system(7.0), item_id="filler"),
+        ]
+        report = BatchEngine(
+            n_workers=n_workers,
+            timeout=0.2,
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0, degrade=degrade),
+        ).run(items)
+        assert report.n_workers == (n_workers or 0)
+        slow = report[0]
+        assert report[1].status == STATUS_OK
+        if not degrade:
+            assert slow.status == STATUS_QUARANTINED
+            return
+        assert slow.status == STATUS_OK
+        assert slow.degraded and slow.rung == 1
+        assert [(a["status"], a["rung"]) for a in slow.attempts] == [
+            ("timeout", 0),
+            ("timeout", 0),
+            ("ok", 1),
+        ]

@@ -185,26 +185,40 @@ class TestNormalize:
 
 
 class TestInjectedCampaign:
-    """In-process campaign under injection: outcomes equal a clean run."""
+    """Campaign under injection, in process and on the pool: outcomes
+    equal a clean run."""
 
-    def test_injected_run_matches_clean_run(self):
+    def _check(self, n_workers=None, chunksize=None, kill_rate=0.0):
         campaign = generate_campaign(12, seed=21)
         items = [
             BatchItem(system_from_dict(e["system"]), item_id=e["id"])
             for e in campaign
         ]
+        injector = ChaosInjector(
+            seed=21, kill_rate=kill_rate, timeout_rate=0.2, error_rate=0.2
+        )
         policy = RetryPolicy(max_attempts=4, base_delay=0.0, degrade=False)
         clean = BatchEngine(retry=policy).run(items)
         injected = BatchEngine(
+            n_workers=n_workers,
+            chunksize=chunksize,
             retry=policy,
-            fault_injector=ChaosInjector(
-                seed=21, timeout_rate=0.2, error_rate=0.2
-            ),
+            fault_injector=injector,
         ).run(items)
+        assert injected.n_workers == (n_workers or 0)
         assert injected.n_retried > 0  # the chaos actually did something
         a = [normalize_record(r.to_dict()) for r in clean]
         b = [normalize_record(r.to_dict()) for r in injected]
         assert a == b
+        return [injector.fault_for(e["id"], 1) for e in campaign]
+
+    def test_injected_run_matches_clean_run(self):
+        self._check()
+
+    @pytest.mark.skipif(not IS_FORK, reason="pool tests assume fork start method")
+    def test_injected_pool_run_matches_clean_run(self):
+        faults = self._check(n_workers=2, chunksize=3, kill_rate=0.1)
+        assert "kill" in faults  # a worker really died
 
 
 @pytest.mark.skipif(not IS_FORK, reason="chaos end-to-end requires fork")

@@ -261,3 +261,55 @@ class TestBatchJournalCLI:
         ]
         assert records[0]["status"] == "ok"
         assert "attempts" not in records[0]  # clean run: no retry history
+
+
+class TestBatchUsageErrors:
+    """Usage errors exit 2 with ``error: ...``; exit 1 means failed items."""
+
+    def _write_items(self, tmp_path, systems=(SYSTEM,)):
+        path = tmp_path / "items.jsonl"
+        path.write_text(
+            "\n".join(
+                json.dumps({"id": f"it{i}", "system": s})
+                for i, s in enumerate(systems)
+            )
+            + "\n"
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--retry", "-1"],
+            ["--chunksize", "0"],
+            ["--status-interval", "-1"],
+            ["--cache-size", "0"],
+            ["--compact-budget", "0"],
+            ["--timeout", "-5"],
+            ["--workers", "-2"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, flags):
+        assert main(["batch", self._write_items(tmp_path)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_existing_journal_without_resume_exits_2(self, tmp_path, capsys):
+        items = self._write_items(tmp_path)
+        wal = str(tmp_path / "campaign.wal")
+        assert main(["batch", items, "--journal", wal]) == 0
+        capsys.readouterr()
+        assert main(["batch", items, "--journal", wal]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_resume_of_another_campaign_exits_2(self, tmp_path, capsys):
+        wal = str(tmp_path / "campaign.wal")
+        assert main(["batch", self._write_items(tmp_path), "--journal", wal]) == 0
+        capsys.readouterr()
+        other = json.loads(json.dumps(SYSTEM))
+        other["jobs"][0]["deadline"] = 11.0
+        items = self._write_items(tmp_path, systems=(other,))
+        assert main(["batch", items, "--journal", wal, "--resume"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
