@@ -67,7 +67,7 @@ from ..analysis.admission import make_analyzer
 from ..analysis.base import AnalysisResult
 from ..analysis.horizon import HorizonConfig
 from ..analysis.options import AnalysisOptions
-from ..cache import CurveSpill, DiskCacheStore, ResultCache, result_key
+from ..cache import DiskCacheStore, ResultCache, result_key
 from ..curves import memo
 from ..model.system import System
 from ..obs import metrics as _obs_metrics
@@ -138,10 +138,9 @@ class ItemResult:
     rounds: int = 0  #: adaptive-horizon rounds used (0 for horizon-free)
     cache_hits: int = 0  #: curve-cache hits attributable to this item
     cache_misses: int = 0
-    #: Curve-cache evictions / disk-spill hits attributable to this item
-    #: (report-level telemetry; not part of the JSONL record).
+    #: Curve-cache evictions attributable to this item (report-level
+    #: telemetry; not part of the JSONL record).
     cache_evictions: int = 0
-    cache_disk_hits: int = 0
     audited: bool = False  #: soundness audit ran for this item
     violations: List[Dict[str, Any]] = field(default_factory=list)  #: audit findings
     #: Span snapshot captured in the worker process (pool runs with the
@@ -191,7 +190,12 @@ class ItemResult:
 
     @classmethod
     def from_journal(cls, payload: Dict[str, Any], index: int) -> "ItemResult":
-        """Rehydrate a result from its journal record (resume path)."""
+        """Rehydrate a result from its journal record (resume path).
+
+        The record keeps ``payload`` itself, not a copy: callers pass a
+        freshly parsed dict that nothing else holds, and :meth:`to_dict`
+        hands out copies.
+        """
         rec = cls(
             index=index,
             item_id=str(payload.get("id", index)),
@@ -209,7 +213,7 @@ class ItemResult:
             rung=int(payload.get("rung") or 0),
             quarantine=payload.get("quarantine"),
         )
-        rec.journal_payload = copy.deepcopy(payload)
+        rec.journal_payload = payload
         rec.resumed = True
         return rec
 
@@ -349,8 +353,11 @@ class BatchReport:
 
     @property
     def cache_disk_hits(self) -> int:
-        """Curve-cache lookups served from the disk spill."""
-        return sum(r.cache_disk_hits for r in self.results)
+        """Always 0: the curve cache has no disk tier any more.
+
+        Kept for callers written against the two-tier cache.
+        """
+        return 0
 
     @property
     def items_per_second(self) -> float:
@@ -368,8 +375,6 @@ class BatchReport:
         extras = []
         if self.cache_evictions:
             extras.append(f"evictions={self.cache_evictions}")
-        if self.cache_disk_hits:
-            extras.append(f"disk_hits={self.cache_disk_hits}")
         if self.n_resumed:
             extras.append(f"resumed={self.n_resumed}")
         if self.n_cached:
@@ -404,7 +409,6 @@ class _Chunk:
     audit: bool
     #: Capacity of the worker's curve cache; ``None`` runs uncached.
     cache_size: Optional[int]
-    cache_dir: Optional[str]
     injector: Optional[Any]
     trace: bool
     detail: bool
@@ -539,7 +543,6 @@ def _analyze_one(
             cache_hits=delta.hits if delta is not None else 0,
             cache_misses=delta.misses if delta is not None else 0,
             cache_evictions=delta.evictions if delta is not None else 0,
-            cache_disk_hits=delta.disk_hits if delta is not None else 0,
             audited=audited,
             violations=violations,
             timeout_enforced=timeout_enforced,
@@ -571,10 +574,6 @@ def _worker_chunk(
     cache = None
     if work.cache_size is not None:
         cache = memo.enable_curve_cache(work.cache_size)
-        if work.cache_dir is not None and cache.spill is None:
-            # First chunk in this worker: attach the disk spill once; it
-            # (and its store counters) then persists with the cache.
-            cache.spill = CurveSpill(DiskCacheStore(work.cache_dir))
     results = [_analyze_one(i, item, work, cache) for i, item in work.items]
     return queue_wait, os.getpid(), results
 
@@ -682,13 +681,12 @@ class BatchEngine:
         default) falls back to ``options.cache_size`` when set, else to
         :data:`repro.curves.memo.DEFAULT_CACHE_SIZE`.
     cache_dir:
-        Root of a persistent cross-run cache (see :mod:`repro.cache`).
-        Enables both tiers: whole-item records are served from /
-        written to the ``results`` tier (a hit skips the analysis
-        entirely and re-emits the stored record verbatim), and every
-        per-process curve cache spills memoized kernels to the
-        ``curves`` tier.  ``None`` (the default) touches no disk and is
-        byte-identical to the pre-cache engine.
+        Root of a persistent cross-run result cache (see
+        :mod:`repro.cache`): whole-item records are served from /
+        written to its ``results`` directory (a hit skips the analysis
+        entirely and re-emits the stored record verbatim).  ``None``
+        (the default) touches no disk and is byte-identical to the
+        pre-cache engine.
     audit:
         Cross-validate every successfully analyzed item against the
         simulator (:func:`repro.audit.checks.cross_validate`); findings
@@ -778,25 +776,15 @@ class BatchEngine:
         self.fault_injector = fault_injector
         self.status_path = status
         self.status_interval = status_interval
-        # Persistent-cache plumbing: one store per engine (workers build
-        # their own against the same directory).
-        self._store: Optional[DiskCacheStore] = (
-            DiskCacheStore(self.cache_dir) if self.cache_dir is not None else None
-        )
         self._result_cache: Optional[ResultCache] = (
-            ResultCache(self._store) if self._store is not None else None
+            ResultCache(DiskCacheStore(self.cache_dir))
+            if self.cache_dir is not None
+            else None
         )
         # The in-process curve cache persists across run() calls,
         # mirroring the per-worker persistent caches of the pool.
         self._serial_cache: Optional[memo.CurveCache] = (
-            memo.CurveCache(
-                self.cache_size,
-                spill=CurveSpill(self._store)
-                if self._store is not None
-                else None,
-            )
-            if use_cache
-            else None
+            memo.CurveCache(self.cache_size) if use_cache else None
         )
 
     # ------------------------------------------------------------------
@@ -857,7 +845,13 @@ class BatchEngine:
             """
             record = None
             if journal is not None and not rec.resumed:
-                record = rec.to_dict()
+                # A cached record is journaled as stored, not copied:
+                # append serializes it at once and keeps no reference.
+                record = (
+                    rec.journal_payload
+                    if rec.journal_payload is not None
+                    else rec.to_dict()
+                )
                 journal.append(digests[rec.index], rec.index, record)
                 if registry is not None:
                     registry.inc("repro_batch_journal_records_total")
@@ -1030,7 +1024,6 @@ class BatchEngine:
             timeout=self.timeout,
             audit=self.audit,
             cache_size=self.cache_size if self.use_cache else None,
-            cache_dir=self.cache_dir,
             injector=self.fault_injector,
             trace=pooled and _obs_trace.tracing_enabled(),
             detail=pooled and _obs_trace.detail_enabled(),

@@ -1,14 +1,12 @@
 """Persistent cross-run caching and sharded campaigns.
 
-Two cache tiers over one content-addressed, self-verifying on-disk store
+One cache tier over a content-addressed, self-verifying on-disk store
 (:class:`~repro.cache.store.DiskCacheStore`):
-
-* :class:`~repro.cache.results.ResultCache` -- whole batch-item records,
-  keyed by item content digest x audit flag x convergence flag x code
-  version (:func:`~repro.cache.results.result_key`);
-* :class:`~repro.cache.spill.CurveSpill` -- disk spill behind the
-  in-process :class:`repro.curves.memo.CurveCache` for the hot
-  ``service_transform`` / ``sum_curves`` kernels.
+:class:`~repro.cache.results.ResultCache` holds whole batch-item
+records, keyed by item content digest x audit flag x convergence flag x
+code version (:func:`~repro.cache.results.result_key`).  Each analysis
+is a pure function of its item, so whole records capture all cross-run
+reuse; memoized curves stay in memory (:mod:`repro.curves.memo`).
 
 Plus the sharded-campaign machinery (:mod:`repro.cache.shard`):
 deterministic shard plans fingerprint-compatible with
@@ -30,16 +28,13 @@ from .shard import (
     merge_status,
     shard_indices,
 )
-from .spill import CURVES_KIND, CurveSpill
 from .store import CACHE_SCHEMA_VERSION, DiskCacheStore
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
-    "CURVES_KIND",
     "RESULTS_KIND",
     "SHARD_PLAN_KIND",
     "SHARD_PLAN_SCHEMA_VERSION",
-    "CurveSpill",
     "DiskCacheStore",
     "ResultCache",
     "ShardError",

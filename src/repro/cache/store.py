@@ -1,16 +1,15 @@
 """Content-addressed on-disk cache store: atomic, self-verifying.
 
-:class:`DiskCacheStore` is the shared persistence primitive behind the
-two cache tiers of :mod:`repro.cache`: whole-result memoization
-(:mod:`repro.cache.results`) and the curve-kernel disk spill
-(:mod:`repro.cache.spill`).  One entry is one file::
+:class:`DiskCacheStore` is the persistence primitive behind the
+whole-result cache of :mod:`repro.cache` (:mod:`repro.cache.results`).
+One entry is one file::
 
     <root>/<kind>/<digest[:2]>/<digest>.json
 
-where ``kind`` namespaces the tier (``"results"`` / ``"curves"``) and
-``digest`` is the caller's content digest -- the *key already names the
-content*, so a cache can only ever return what was stored under exactly
-the same inputs.  The two-character fan-out directory keeps any single
+where ``kind`` namespaces the entries (``"results"``) and ``digest``
+is the caller's content digest -- the *key already names the content*,
+so a cache can only ever return what was stored under exactly the same
+inputs.  The two-character fan-out directory keeps any single
 directory from growing unbounded on 100k-entry campaigns.
 
 Safety properties, in order of importance:

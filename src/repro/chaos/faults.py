@@ -17,6 +17,7 @@ the last write.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import signal
 from dataclasses import dataclass, field
@@ -175,34 +176,35 @@ def tamper_cache_entries(
     """Flip bytes inside a deterministic subset of cache entry files.
 
     Simulates silent disk corruption of the persistent cache
-    (:mod:`repro.cache`): each entry under ``cache_dir`` is selected with
-    probability ``fraction`` by a seed-keyed hash of its filename (stable
-    across runs and directory orderings), and ``flip`` bytes in its
-    middle are XOR-scrambled in place.  The store's CRC self-verification
-    must turn every tampered entry into a counted miss -- recomputed,
-    never served.  Returns the number of entries tampered.
+    (:mod:`repro.cache`): the ``n`` entries under ``cache_dir`` are
+    ranked by a seed-keyed hash of their filenames (stable across runs
+    and directory orderings), and ``flip`` bytes in the middle of each of
+    the first ``ceil(fraction * n)`` are XOR-scrambled in place -- so any
+    ``fraction > 0`` tampers at least one entry of a non-empty cache.
+    The store's CRC self-verification must turn every tampered entry
+    into a counted miss -- recomputed, never served.  Returns the number
+    of entries tampered.
     """
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be in [0, 1]")
+    ranked = []
+    for dirpath, _dirnames, filenames in os.walk(cache_dir):
+        for name in filenames:
+            if name.endswith(".json"):
+                rank = hashlib.blake2b(
+                    f"{seed}:{name}".encode("utf-8"), digest_size=8
+                ).digest()
+                ranked.append((rank, os.path.join(dirpath, name)))
+    ranked.sort()
     tampered = 0
-    for dirpath, _dirnames, filenames in sorted(os.walk(cache_dir)):
-        for name in sorted(filenames):
-            if not name.endswith(".json"):
+    for _rank, path in ranked[: math.ceil(fraction * len(ranked))]:
+        with open(path, "r+b") as fh:
+            raw = fh.read()
+            if not raw:
                 continue
-            digest = hashlib.blake2b(
-                f"{seed}:{name}".encode("utf-8"), digest_size=8
-            ).digest()
-            u = int.from_bytes(digest, "big") / float(1 << 64)
-            if u >= fraction:
-                continue
-            path = os.path.join(dirpath, name)
-            with open(path, "r+b") as fh:
-                raw = fh.read()
-                if not raw:
-                    continue
-                target = len(raw) // 2
-                fh.seek(target)
-                original = raw[target : target + flip]
-                fh.write(bytes((b ^ 0xA5) for b in original))
-            tampered += 1
+            target = len(raw) // 2
+            fh.seek(target)
+            original = raw[target : target + flip]
+            fh.write(bytes((b ^ 0xA5) for b in original))
+        tampered += 1
     return tampered

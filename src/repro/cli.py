@@ -47,7 +47,7 @@ Commands
 
 ``trace``
     Profile one analysis run under full observability: detail tracing,
-    metrics and a persistent curve cache, written as a Chrome/Perfetto
+    metrics and an in-memory curve cache, written as a Chrome/Perfetto
     trace plus a Prometheus text dump (see ``docs/observability.md``)::
 
         python -m repro trace system.json --trace-out trace.json
@@ -86,7 +86,8 @@ __all__ = ["main", "build_parser"]
 
 def _add_compact_args(p: argparse.ArgumentParser) -> None:
     """Attach the sound-compaction / perf knobs (see docs/performance.md)."""
-    p.add_argument(
+    compact = p.add_mutually_exclusive_group()
+    compact.add_argument(
         "--compact-budget",
         type=int,
         default=None,
@@ -95,7 +96,7 @@ def _add_compact_args(p: argparse.ArgumentParser) -> None:
         help="cap interference curves at N breakpoints (sound: upper "
         "bounds round up, lower bounds round down); default: no compaction",
     )
-    p.add_argument(
+    compact.add_argument(
         "--compact-max-error",
         type=float,
         default=None,
@@ -130,20 +131,6 @@ def _add_compact_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_args(p: argparse.ArgumentParser) -> None:
-    """Attach the persistent cross-run cache knob (see docs/performance.md)."""
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        dest="cache_dir",
-        metavar="DIR",
-        help="persistent cross-run cache root: memoized curve kernels "
-        "and (for batch) whole item records are stored under DIR and "
-        "reused by later runs; entries are self-verified, so a corrupt "
-        "cache only ever costs recomputation",
-    )
-
-
 def _options_from_args(args) -> Optional[AnalysisOptions]:
     """Build AnalysisOptions from parsed compact args; None = defaults.
 
@@ -163,10 +150,6 @@ def _options_from_args(args) -> Optional[AnalysisOptions]:
         and cache_size is None
     ):
         return None
-    if budget is not None and max_error is not None:
-        raise SystemExit(
-            "error: --compact-budget and --compact-max-error are exclusive"
-        )
     return AnalysisOptions(
         compact_budget=budget,
         compact_mode="error" if max_error is not None else "budget",
@@ -180,25 +163,17 @@ def _options_from_args(args) -> Optional[AnalysisOptions]:
 def _cache_scope(args):
     """Curve-cache context for single-run commands (analyze / audit).
 
-    ``--cache-dir`` activates an in-process curve cache spilling to the
-    persistent store; ``--cache-size`` alone activates a purely
-    in-memory one.  Neither flag -> a no-op context, keeping the default
-    path byte-identical to the uncached pipeline.
+    ``--cache-size N`` activates an in-memory curve cache of N entries;
+    without it the context is a no-op, keeping the default path
+    byte-identical to the uncached pipeline.
     """
     from contextlib import nullcontext
 
-    cache_dir = getattr(args, "cache_dir", None)
-    cache_size = getattr(args, "cache_size", None)
-    if cache_dir is None and cache_size is None:
+    if args.cache_size is None:
         return nullcontext()
-    from .cache import CurveSpill, DiskCacheStore
     from .curves import memo
 
-    spill = (
-        CurveSpill(DiskCacheStore(cache_dir)) if cache_dir is not None else None
-    )
-    size = cache_size if cache_size is not None else memo.DEFAULT_CACHE_SIZE
-    return memo.curve_cache(cache=memo.CurveCache(size, spill=spill))
+    return memo.curve_cache(args.cache_size)
 
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
@@ -276,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the machine-readable result schema"
     )
     _add_compact_args(p_an)
-    _add_cache_args(p_an)
     _add_obs_args(p_an)
 
     p_sim = sub.add_parser("simulate", help="simulate a JSON system description")
@@ -379,7 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
         "this campaign's item digests before running",
     )
     _add_compact_args(p_bat)
-    _add_cache_args(p_bat)
+    p_bat.add_argument(
+        "--cache-dir",
+        default=None,
+        dest="cache_dir",
+        metavar="DIR",
+        help="persistent cross-run result cache root: whole item records "
+        "are stored under DIR and re-emitted verbatim by later runs; "
+        "entries are self-verified, so a corrupt cache only ever costs "
+        "recomputation",
+    )
     _add_obs_args(p_bat)
     _add_status_args(p_bat)
 
@@ -492,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the full report as JSON"
     )
     _add_compact_args(p_aud)
-    _add_cache_args(p_aud)
     _add_obs_args(p_aud)
     _add_status_args(p_aud)
 

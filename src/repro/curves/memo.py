@@ -19,15 +19,8 @@ The cache is *opt in*: nothing is memoized unless a cache has been
 activated for the current process via :func:`enable_curve_cache` or the
 :func:`curve_cache` context manager.  The batch engine
 (:mod:`repro.batch`) activates one per worker process and reports hit
-rates per work item.
-
-A cache may carry a *spill* -- any object with ``load(key) -> value |
-None`` and ``save(key, value)`` (see
-:class:`repro.cache.spill.CurveSpill`).  Puts write through to the
-spill; in-memory misses consult it before giving up, and a spill hit is
-promoted into the LRU table without being written back.  Disk traffic is
-tracked separately (``disk_hits`` / ``disk_misses``) on top of the
-ordinary hit/miss counters.
+rates per work item.  The table lives in memory only; cross-run reuse is
+the job of the whole-record result cache (:mod:`repro.cache`).
 """
 
 from __future__ import annotations
@@ -64,9 +57,6 @@ class CacheStats:
     size: int = 0
     maxsize: int = 0
     evictions: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    spill: bool = False
 
     @property
     def lookups(self) -> int:
@@ -86,18 +76,11 @@ class CacheStats:
             size=self.size,
             maxsize=self.maxsize,
             evictions=self.evictions - earlier.evictions,
-            disk_hits=self.disk_hits - earlier.disk_hits,
-            disk_misses=self.disk_misses - earlier.disk_misses,
-            spill=self.spill,
         )
 
     def to_dict(self) -> Dict[str, float]:
-        """JSON-ready record (surfaced in schema-v1 result payloads).
-
-        The disk counters appear only when a spill is attached, so the
-        record shape without ``--cache-dir`` is unchanged.
-        """
-        record = {
+        """JSON-ready record (surfaced in schema-v1 result payloads)."""
+        return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -105,41 +88,20 @@ class CacheStats:
             "maxsize": self.maxsize,
             "hit_rate": round(self.hit_rate, 6),
         }
-        if self.spill:
-            record["disk_hits"] = self.disk_hits
-            record["disk_misses"] = self.disk_misses
-        return record
 
 
 class CurveCache:
-    """Bounded LRU memo table mapping digest keys to curves.
+    """Bounded LRU memo table mapping digest keys to curves."""
 
-    ``spill`` is an optional disk tier (``load``/``save`` protocol, see
-    the module docs): puts write through, misses fall back to it, and a
-    spill hit is promoted into the table without a redundant write-back.
-    """
+    __slots__ = ("maxsize", "hits", "misses", "evictions", "_table")
 
-    __slots__ = (
-        "maxsize",
-        "hits",
-        "misses",
-        "evictions",
-        "disk_hits",
-        "disk_misses",
-        "spill",
-        "_table",
-    )
-
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE, spill=None) -> None:
+    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
         if maxsize <= 0:
             raise ValueError("cache maxsize must be positive")
         self.maxsize = int(maxsize)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.spill = spill
         self._table: "OrderedDict[bytes, object]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -148,28 +110,14 @@ class CurveCache:
     def get(self, key: bytes):
         """Look up ``key``, counting the hit/miss and refreshing recency."""
         entry = self._table.get(key)
-        if entry is not None:
-            self._table.move_to_end(key)
-            self.hits += 1
-            return entry
-        if self.spill is not None:
-            entry = self.spill.load(key)
-            if entry is not None:
-                self._insert(key, entry)
-                self.hits += 1
-                self.disk_hits += 1
-                return entry
-            self.disk_misses += 1
-        self.misses += 1
-        return None
+        if entry is None:
+            self.misses += 1
+            return None
+        self._table.move_to_end(key)
+        self.hits += 1
+        return entry
 
     def put(self, key: bytes, value) -> None:
-        self._insert(key, value)
-        if self.spill is not None:
-            self.spill.save(key, value)
-
-    def _insert(self, key: bytes, value) -> None:
-        """Table insert + LRU eviction, with no spill write-through."""
         self._table[key] = value
         self._table.move_to_end(key)
         while len(self._table) > self.maxsize:
@@ -177,7 +125,7 @@ class CurveCache:
             self.evictions += 1
 
     def clear(self) -> None:
-        """Drop all in-memory entries; counters and spill are preserved."""
+        """Drop all entries; the counters are preserved."""
         self._table.clear()
 
     def stats(self) -> CacheStats:
@@ -187,9 +135,6 @@ class CurveCache:
             size=len(self._table),
             maxsize=self.maxsize,
             evictions=self.evictions,
-            disk_hits=self.disk_hits,
-            disk_misses=self.disk_misses,
-            spill=self.spill is not None,
         )
 
 
@@ -203,24 +148,18 @@ def active_curve_cache() -> Optional[CurveCache]:
 
 
 def enable_curve_cache(
-    maxsize: int = DEFAULT_CACHE_SIZE,
-    cache: Optional[CurveCache] = None,
-    spill=None,
+    maxsize: int = DEFAULT_CACHE_SIZE, cache: Optional[CurveCache] = None
 ) -> CurveCache:
     """Activate memoization for this process and return the active cache.
 
     Re-enabling with an already-active cache keeps it (and its contents);
-    passing an explicit ``cache`` installs that instance instead.  A
-    ``spill`` is attached to the resulting cache when it has none yet
-    (worker processes re-enable per chunk and must keep the first one).
+    passing an explicit ``cache`` installs that instance instead.
     """
     global _ACTIVE
     if cache is not None:
         _ACTIVE = cache
     elif _ACTIVE is None:
         _ACTIVE = CurveCache(maxsize)
-    if spill is not None and _ACTIVE.spill is None:
-        _ACTIVE.spill = spill
     return _ACTIVE
 
 

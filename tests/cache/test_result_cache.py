@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis import AnalysisOptions
 from repro.batch import BatchEngine, BatchItem
+from repro.batch.journal import BatchJournal
 from repro.cache import DiskCacheStore, ResultCache, result_key
 from repro.chaos import generate_campaign
 from repro.model.io import system_from_dict
@@ -124,6 +125,55 @@ class TestWarmRun:
             cache_dir=cache_dir, options=AnalysisOptions(cache_size=7)
         ).run(_items(n=3))
         assert warm.n_cached == 3
+
+
+class TestOneTier:
+    @pytest.mark.parametrize("n_workers", [0, 2], ids=["in-process", "pool"])
+    def test_cache_dir_holds_only_result_entries(self, tmp_path, n_workers):
+        cache_dir = str(tmp_path / "cache")
+        cold = BatchEngine(n_workers=n_workers, cache_dir=cache_dir).run(
+            _items(n=4)
+        )
+        assert cold.n_ok == 4
+        assert os.listdir(cache_dir) == ["results"]
+        for record in cold:
+            stats = record.to_dict()["result"]["cache"]
+            assert "disk_hits" not in stats and "disk_misses" not in stats
+
+
+class TestServedRecordsAreCopies:
+    """Served records are handed out as copies; the stored one stays put."""
+
+    @staticmethod
+    def _mutate(payload):
+        payload["id"] = "mutated"
+        payload["result"]["schedulable"] = "mutated"
+        payload["result"]["jobs"].clear()
+
+    def _check(self, record, wal):
+        expected = record.to_dict()
+        self._mutate(record.to_dict())
+        assert record.to_dict() == expected
+        _header, entries, _good, _total = BatchJournal.scan(wal)
+        journaled = {e["index"]: e["record"] for e in entries}
+        assert journaled[record.index] == expected
+
+    def test_cached_record(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        BatchEngine(cache_dir=cache_dir).run(_items(n=2))
+        wal = str(tmp_path / "warm.wal")
+        warm = BatchEngine(cache_dir=cache_dir, journal=wal).run(_items(n=2))
+        assert warm.n_cached == 2
+        for record in warm:
+            self._check(record, wal)
+
+    def test_resumed_record(self, tmp_path):
+        wal = str(tmp_path / "campaign.wal")
+        BatchEngine(journal=wal).run(_items(n=2))
+        resumed = BatchEngine(journal=wal, resume=True).run(_items(n=2))
+        assert resumed.n_resumed == 2
+        for record in resumed:
+            self._check(record, wal)
 
 
 class TestTracedPool:

@@ -313,3 +313,35 @@ class TestBatchUsageErrors:
         items = self._write_items(tmp_path, systems=(other,))
         assert main(["batch", items, "--journal", wal, "--resume"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestArgumentErrors:
+    """Flags argparse rejects exit 2, like every other usage error."""
+
+    def _argv(self, command, tmp_path):
+        if command == "audit":
+            return ["audit"]
+        if command == "batch":
+            path = tmp_path / "items.jsonl"
+            path.write_text(json.dumps({"id": "it0", "system": SYSTEM}) + "\n")
+        else:
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps(SYSTEM))
+        return [command, str(path)]
+
+    @pytest.mark.parametrize("command", ["analyze", "batch", "audit"])
+    def test_compact_budget_and_max_error_exit_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                self._argv(command, tmp_path)
+                + ["--compact-budget", "8", "--compact-max-error", "0.1"]
+            )
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "audit"])
+    def test_cache_dir_is_batch_only(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(command, tmp_path) + ["--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
