@@ -6,6 +6,8 @@ when it is switched off: ``make_analyzer(method)`` with no options has to
 produce byte-identical results to the pre-layer code.  This test runs
 every registered method over a small deterministic zoo of systems and
 compares the JSON-serialized results against a checked-in golden file.
+The zoo's ``trace`` case gives every job a long Poisson release trace, so
+its lowest-priority hops sum the step envelopes of seven jobs.
 
 Regenerate (only when an *intentional* default-path change lands) with::
 
@@ -22,7 +24,13 @@ import numpy as np
 import pytest
 
 from repro.analysis import METHODS, make_analyzer
-from repro.model import System, assign_priorities_proportional_deadline
+from repro.model import (
+    Job,
+    JobSet,
+    System,
+    TraceArrivals,
+    assign_priorities_proportional_deadline,
+)
 from repro.workloads import (
     ShopTopology,
     generate_aperiodic_jobset,
@@ -38,7 +46,34 @@ CASES = [
     ("periodic_mixed", "periodic", (2, 2), 4, 0.55, "mixed", 303),
     ("bursty_spp", "aperiodic", (1, 2), 3, 0.4, "spp", 404),
     ("bursty_spnp", "aperiodic", (2, 1), 3, 0.5, "spnp", 505),
+    ("trace_chain_spp", "trace", (2, 1), 8, 0.5, "spp", 606),
 ]
+
+#: Releases per job in the ``trace`` cases.
+TRACE_INSTANCES = 150
+
+
+def _trace_jobset(topology, n_jobs, utilization, rng) -> JobSet:
+    """Jobs released by Poisson traces through slot 0 of every stage.
+
+    Release gaps have mean 1 and WCETs mean ``utilization / n_jobs``, so
+    the jobs load every processor on the route to ``utilization`` on
+    average, in bursts.
+    """
+    route = [topology.processor(s, 0) for s in range(topology.n_stages)]
+    jobs = []
+    for j in range(n_jobs):
+        wcets = rng.uniform(0.5, 1.5, len(route)) * utilization / n_jobs
+        releases = np.cumsum(rng.exponential(1.0, TRACE_INSTANCES))
+        jobs.append(
+            Job.build(
+                f"T{j + 1}",
+                list(zip(route, wcets.tolist())),
+                TraceArrivals(releases.tolist()),
+                deadline=float(rng.uniform(2.0, 10.0)),
+            )
+        )
+    return JobSet(jobs)
 
 
 def _build_system(kind, topo, n_jobs, utilization, policies, seed) -> System:
@@ -48,6 +83,8 @@ def _build_system(kind, topo, n_jobs, utilization, policies, seed) -> System:
         job_set = generate_periodic_jobset(
             topology, n_jobs, utilization, deadline_factor=3.0, rng=rng
         )
+    elif kind == "trace":
+        job_set = _trace_jobset(topology, n_jobs, utilization, rng)
     else:
         job_set = generate_aperiodic_jobset(
             topology,
