@@ -7,11 +7,13 @@ admission-probability experiments repeat thousands of times.
 Standalone mode (``python benchmarks/bench_analysis.py --json``) instead
 benchmarks the *compaction layer* on a breakpoint-heavy bursty fixture:
 exact analysis vs ``compact_budget=64``, reporting median wall times,
-per-job bound loosening, breakpoint/cache statistics, and writing
-``BENCH_analysis.json`` at the repository root for cross-PR tracking.
+per-job bound loosening, breakpoint/cache statistics, and writing them
+into ``BENCH_analysis.json`` at the repository root for cross-PR
+tracking; the file's other sections are kept.
 """
 
 import argparse
+import json
 import statistics
 import sys
 import time
@@ -210,8 +212,16 @@ def main(argv=None) -> int:
         print(f"UNSOUND: compacted bound below exact for {report['unsound_jobs']}")
         return 2
     if args.json:
+        # Load-modify-write: ``bench_batch.py --warm-cache`` owns the
+        # ``persistent_cache`` section of the same file.
         out = REPO_ROOT / "BENCH_analysis.json"
-        write_json_atomic(out, report, indent=2, default=str)
+        try:
+            with open(out, "r", encoding="utf-8") as fh:
+                bench = json.load(fh)
+        except (OSError, ValueError):
+            bench = {}
+        bench.update(report)
+        write_json_atomic(out, bench, indent=2, default=str)
         print(f"wrote {out}")
     if args.min_speedup is not None and report["speedup"] < args.min_speedup:
         print(

@@ -51,10 +51,22 @@ class HorizonConfig:
     watchdog: bool = True  #: bail early on detected divergence/oscillation
 
     def __post_init__(self) -> None:
-        if self.growth <= 1.0:
-            raise ValueError("growth must exceed 1")
+        if self.initial is not None and not (
+            math.isfinite(self.initial) and self.initial > 0.0
+        ):
+            raise ValueError(
+                f"initial must be finite and positive, got {self.initial}"
+            )
+        if not (math.isfinite(self.growth) and self.growth > 1.0):
+            raise ValueError(f"growth must be finite and exceed 1, got {self.growth}")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
         if not (0.0 < self.analyze_fraction <= 1.0):
             raise ValueError("analyze_fraction must be in (0, 1]")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
+            raise ValueError(
+                f"rel_tol must be finite and non-negative, got {self.rel_tol}"
+            )
 
 
 #: Consecutive bound-tracks-horizon rounds before the watchdog calls it

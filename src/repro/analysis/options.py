@@ -17,6 +17,7 @@ only get looser).  Exact analyses ignore compaction entirely; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,9 +68,11 @@ class AnalysisOptions:
                 f"compact_budget must be >= {MIN_BUDGET}, "
                 f"got {self.compact_budget}"
             )
-        if self.compact_max_error is not None and self.compact_max_error <= 0:
+        if self.compact_max_error is not None and not (
+            math.isfinite(self.compact_max_error) and self.compact_max_error > 0
+        ):
             raise ValueError(
-                f"compact_max_error must be positive, "
+                f"compact_max_error must be finite and positive, "
                 f"got {self.compact_max_error}"
             )
         if self.compact_mode == "error" and self.compact_max_error is None:

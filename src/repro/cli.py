@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -82,6 +83,10 @@ from .model.io import load_system
 from .sim import simulate as run_simulation
 
 __all__ = ["main", "build_parser"]
+
+
+class _UsageError(Exception):
+    """A flag value the command cannot run with; ``main`` exits 2."""
 
 
 def _add_compact_args(p: argparse.ArgumentParser) -> None:
@@ -150,14 +155,17 @@ def _options_from_args(args) -> Optional[AnalysisOptions]:
         and cache_size is None
     ):
         return None
-    return AnalysisOptions(
-        compact_budget=budget,
-        compact_mode="error" if max_error is not None else "budget",
-        compact_max_error=max_error,
-        warm_start=not no_warm,
-        convergence=convergence,
-        cache_size=cache_size,
-    )
+    try:
+        return AnalysisOptions(
+            compact_budget=budget,
+            compact_mode="error" if max_error is not None else "budget",
+            compact_max_error=max_error,
+            warm_start=not no_warm,
+            convergence=convergence,
+            cache_size=cache_size,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cache_scope(args):
@@ -674,6 +682,7 @@ def _cmd_trace(args) -> int:
     from .curves import memo
     from .obs import observe
 
+    options = _options_from_args(args)
     system = load_system(args.system)
     with observe(
         trace_out=args.trace_out,
@@ -685,9 +694,7 @@ def _cmd_trace(args) -> int:
         profile_mem_out=args.profile_mem_out,
     ) as session:
         with memo.curve_cache():
-            result = make_analyzer(
-                args.method, options=_options_from_args(args)
-            ).analyze(system)
+            result = make_analyzer(args.method, options=options).analyze(system)
         if args.embed:
             result.observability = session.embed_block()
         n_spans = len(session.collector.spans)
@@ -704,6 +711,15 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if not (math.isfinite(args.horizon) and args.horizon > 0.0):
+        raise _UsageError(
+            f"--horizon must be finite and positive, got {args.horizon}"
+        )
+    window = args.report_window
+    if window is not None and not (math.isfinite(window) and window >= 0.0):
+        raise _UsageError(
+            f"--report-window must be finite and non-negative, got {window}"
+        )
     system = load_system(args.system)
     res = run_simulation(
         system, horizon=args.horizon, report_window=args.report_window
@@ -1164,7 +1180,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report": _cmd_report,
         "methods": _cmd_methods,
     }
-    return handlers[args.command](args)
+    # Exit status 1 reports a deadline miss or a failed item, so a flag
+    # value the command cannot run with must not escape as a traceback.
+    try:
+        return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,7 +20,12 @@ The operators that evaluate their operands on a union grid of the
 operands' own breakpoints (:func:`sum_curves`, :func:`min_curves`,
 :func:`identity_minus`) locate each operand's breakpoints in the grid
 and count them, instead of searching the operand for every grid point
-(:func:`_eval_on_grid`).
+(:func:`_eval_on_grid`).  An operand that is exactly piecewise constant
+(:func:`_is_flat`), such as a workload step envelope, is read off the
+grid instead of interpolated, and :func:`sum_curves` over such operands
+adds right values only, taking each left limit from the grid point
+before.  The input picks the path: continuous operands, such as
+service curves, are interpolated.
 
 :func:`service_transform` assembles the emissions of its running-min
 recursion positionally with ``cumsum``/``repeat``
@@ -320,6 +325,32 @@ def _eval_at(x, y, final_slope, ts, idx):
     return np.where(idx < 0, y[0], out)
 
 
+def _is_flat(curve) -> bool:
+    """True when ``curve`` is exactly piecewise constant.
+
+    The test tolerates nothing, unlike :func:`is_step`: the final slope is
+    ``0.0`` and ``y`` repeats exactly across every segment of positive
+    width.  On such a curve the ramp interpolation of :func:`_eval_at`,
+    ``y0 + frac * (y1 - y0)``, is ``y0 + frac * 0.0`` on every segment.
+    """
+    if curve._final_slope != 0.0:
+        return False
+    x, y = curve._x, curve._y
+    return not ((x[1:] != x[:-1]) & (y[1:] != y[:-1])).any()
+
+
+def _flat_on_grid(curve, grid):
+    """Right values of a flat curve at every point of ``grid``.
+
+    ``grid`` is sorted and holds every breakpoint of the curve, starting
+    with ``x[0] = 0``, so breakpoint ``i`` holds from its grid position up
+    to the next breakpoint's: a repeat instead of a gather of segment
+    indices.  Of a jump's two breakpoints, the second holds.
+    """
+    pos = np.searchsorted(grid, curve._x)
+    return np.repeat(curve._y, np.diff(pos, append=grid.size))
+
+
 def _eval_on_grid(curve, grid):
     """Left limits and right values of ``curve`` at every point of ``grid``.
 
@@ -328,7 +359,19 @@ def _eval_on_grid(curve, grid):
     :func:`eval_right` and :func:`eval_left` search for, at ``n log N``
     instead of ``2 N log n``.  The left limit differs from the right value
     only at the curve's own breakpoints, so it is evaluated only there.
+
+    A flat curve (:func:`_is_flat`) is read off instead of interpolated:
+    ``y0 + 0.0`` is ``y0 + frac * 0.0`` byte for byte, signed zeros
+    included.  Its left limit at a grid point is its right value at the
+    point before, since it is constant between the two; at ``grid[0] = 0``
+    it is ``y[0]``, as in :func:`_eval_at`.
     """
+    if _is_flat(curve):
+        right = _flat_on_grid(curve, grid) + 0.0
+        left = np.empty_like(right)
+        left[0] = curve._y[0]
+        left[1:] = right[:-1]
+        return left, right
     x, y, fs = curve._x, curve._y, curve._final_slope
     counts = np.bincount(np.searchsorted(grid, x), minlength=grid.size)
     idx = np.cumsum(counts) - 1
@@ -469,10 +512,21 @@ def sum_curves(curves):
     grid = _union_grid([c._x for c in curves])
     left = np.zeros_like(grid)
     right = np.zeros_like(grid)
-    for c in curves:
-        c_left, c_right = _eval_on_grid(c, grid)
-        left += c_left
-        right += c_right
+    if all(_is_flat(c) for c in curves):
+        # Every operand is constant between grid points, so the sum's left
+        # limit at a point is its right value at the point before, and at
+        # 0 the same fold of the operands' y[0].  The ``+ 0.0`` of
+        # _eval_on_grid is dropped: a sum started from +0.0 never reads
+        # -0.0, and adding -0.0 or +0.0 to anything else gives the same bits.
+        for c in curves:
+            right += _flat_on_grid(c, grid)
+            left[0] += c._y[0]
+        left[1:] = right[:-1]
+    else:
+        for c in curves:
+            c_left, c_right = _eval_on_grid(c, grid)
+            left += c_left
+            right += c_right
     xs, ys = _interleave(grid, left, right)
     fs = sum(c.final_slope for c in curves)
     return xs, ys, fs

@@ -1,6 +1,8 @@
 """Unit tests for the admission API and the adaptive horizon driver."""
 
 
+import math
+
 import pytest
 
 from repro.analysis import (
@@ -65,6 +67,28 @@ class TestHorizonConfig:
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
             HorizonConfig(analyze_fraction=0.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("initial", 0.0),
+            ("initial", -1.0),
+            ("initial", math.nan),
+            ("initial", math.inf),
+            ("max_rounds", 0),
+            ("growth", math.inf),
+            ("growth", math.nan),
+            ("rel_tol", math.nan),
+            ("rel_tol", math.inf),
+            ("rel_tol", -1e-9),
+        ],
+    )
+    def test_degenerate_values_rejected(self, field, value):
+        # Accepted, initial <= 0 yields WCRT 0.0 as a converged,
+        # schedulable bound, and rel_tol=nan calls any two drained rounds
+        # converged.
+        with pytest.raises(ValueError, match=field):
+            HorizonConfig(**{field: value})
 
     def test_initial_horizon_covers_deadline_and_period(self):
         job = Job.build("A", [("P1", 1.0)], PeriodicArrivals(7.0), 21.0)

@@ -146,6 +146,11 @@ def test_options_validation():
         AnalysisOptions(compact_mode="error")
     with pytest.raises(ValueError):
         AnalysisOptions(compact_mode="error", compact_max_error=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="compact_max_error"):
+            AnalysisOptions(compact_mode="error", compact_max_error=bad)
+        with pytest.raises(ValueError, match="compact_max_error"):
+            AnalysisOptions(compact_max_error=bad)
     assert not AnalysisOptions().compaction_enabled
     assert AnalysisOptions(compact_budget=64).compaction_enabled
     assert AnalysisOptions(

@@ -10,6 +10,8 @@ from the oracle: a signed zero in ``y[0]``, queries at ``-0.0`` and
 times and breakpoints within EPS of each other, which drive the EPS guard
 of ``service_transform``.  Two deterministic cases pin that guard: one
 dropped breakpoint, and a chain in which it keeps a later point.
+Exactly flat operands, alone and mixed with sloped ones, drive the
+gather paths of the grid kernels.
 """
 
 import math
@@ -95,7 +97,46 @@ def general_curves(draw):
     return Curve.from_breakpoints(xs, ys, fs)
 
 
+@st.composite
+def flat_curves(draw):
+    """Piecewise-constant curves, as the grid kernels' gather takes them.
+
+    Plateaus and jumps alternate from ``y[0] = 0.0`` or ``-0.0``; some of
+    either are narrower than EPS, and some jumps have zero height.  Half
+    the curves stay uncanonicalized, so zero-height jumps and plateaus
+    split in two reach the kernels.  Canonicalization drops the top of a
+    jump below EPS, which leaves a ramp: such a curve is a step within
+    EPS but not exactly flat, and takes the interpolating path.
+    """
+    xs = [0.0]
+    ys = [draw(st.sampled_from([0.0, -0.0]))]
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        width = draw(st.one_of(st.sampled_from([1e-12, 6e-10]),
+                               st.floats(min_value=0.01, max_value=5.0)))
+        xs.append(xs[-1] + width)
+        ys.append(ys[-1])
+        if draw(st.booleans()):
+            xs.append(xs[-1])
+            ys.append(ys[-1] + draw(st.one_of(
+                st.sampled_from([0.0, 1e-12, 6e-10]),
+                st.floats(min_value=0.05, max_value=3.0),
+            )))
+    return Curve.from_breakpoints(xs, ys, 0.0, canonicalize=draw(st.booleans()))
+
+
 any_curves = st.one_of(step_curves(), general_curves())
+
+#: Sum operands that all take the flat path, or only some of them.
+flat_operand_lists = st.lists(st.one_of(flat_curves(), step_curves()),
+                              min_size=2, max_size=8)
+mixed_operand_lists = st.lists(st.one_of(flat_curves(), general_curves()),
+                               min_size=2, max_size=5)
+
+#: A flat curve on ``[0, 1)`` at ``-0.0``: its right values there read
+#: ``+0.0`` in the oracle, ``-0.0 + frac * 0.0``.
+NEGATIVE_ZERO_FLAT = Curve.from_breakpoints(
+    [0.0, 1.0, 1.0, 2.5], [-0.0, -0.0, 1.0, 1.0], 0.0, canonicalize=False
+)
 
 query_lists = st.lists(
     st.one_of(
@@ -187,17 +228,21 @@ def test_inverse_kernels_bit_identical(c, vs):
 # -- curve-valued operators ------------------------------------------------
 
 
-@settings(max_examples=60)
+@settings(max_examples=100)
 @given(st.one_of(st.lists(any_curves, min_size=2, max_size=4),
-                 sharing_operand_lists()))
+                 sharing_operand_lists(), flat_operand_lists,
+                 mixed_operand_lists))
+@example([NEGATIVE_ZERO_FLAT, Curve.step_from_times([0.5, 1.0, 1.0 + 1e-12], 0.3)])
+@example([NEGATIVE_ZERO_FLAT, Curve.from_breakpoints([0, 2], [0, 1], 0.5)])
 def test_sum_curves_bit_identical(curves):
     assert_matches(
         sum_curves(curves), ref.sum_curves([ref.table(c) for c in curves])
     )
 
 
-@settings(max_examples=60)
-@given(any_curves, any_curves)
+@settings(max_examples=100)
+@given(st.one_of(any_curves, flat_curves()), st.one_of(any_curves, flat_curves()))
+@example(NEGATIVE_ZERO_FLAT, Curve.step_from_times([0.5, 3.0], 0.3))
 def test_min_curves_bit_identical(c1, c2):
     assert_matches(min_curves(c1, c2), ref.min_curves(ref.table(c1), ref.table(c2)))
 
@@ -216,13 +261,27 @@ def bounded_rate_curves(draw):
     return Curve.from_breakpoints(xs, ys, fs)
 
 
-@settings(max_examples=60)
-@given(
-    bounded_rate_curves(),
-    st.floats(min_value=0.0, max_value=3.0),
-    st.sampled_from(["exact", "lower", "upper"]),
+#: Flat totals, like the higher-priority workload sums of the approximate
+#: methods, scaled by 0.1-0.9, in the modes that accept jumps.
+flat_totals = st.tuples(
+    st.builds(lambda curves, k: sum_curves(curves).scale(k),
+              flat_operand_lists, st.floats(min_value=0.1, max_value=0.9)),
+    st.sampled_from(["lower", "upper"]),
 )
-def test_identity_minus_bit_identical(total, lateness, mode):
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(
+        st.tuples(bounded_rate_curves(),
+                  st.sampled_from(["exact", "lower", "upper"])),
+        flat_totals,
+    ),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+@example((NEGATIVE_ZERO_FLAT.scale(0.5), "upper"), 0.0)
+def test_identity_minus_bit_identical(total_mode, lateness):
+    total, mode = total_mode
     assert_matches(
         identity_minus(total, lateness=lateness, mode=mode),
         ref.identity_minus(ref.table(total), lateness, mode),

@@ -321,12 +321,15 @@ class TestArgumentErrors:
     def _argv(self, command, tmp_path):
         if command == "audit":
             return ["audit"]
-        if command == "batch":
+        if command in ("batch", "shard plan"):
             path = tmp_path / "items.jsonl"
             path.write_text(json.dumps({"id": "it0", "system": SYSTEM}) + "\n")
         else:
             path = tmp_path / "system.json"
             path.write_text(json.dumps(SYSTEM))
+        if command == "shard plan":
+            return ["shard", "plan", str(path), "--shards", "2",
+                    "--out", str(tmp_path / "plan.json")]
         return [command, str(path)]
 
     @pytest.mark.parametrize("command", ["analyze", "batch", "audit"])
@@ -345,3 +348,41 @@ class TestArgumentErrors:
             main(self._argv(command, tmp_path) + ["--cache-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "validate", "trace", "audit", "batch", "shard plan"]
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--compact-budget", "1"],
+            ["--compact-max-error", "-1"],
+            ["--compact-max-error", "nan"],
+            ["--cache-size", "0"],
+        ],
+        ids=["budget-1", "max-error-neg", "max-error-nan", "cache-size-0"],
+    )
+    def test_option_values_exit_2(self, tmp_path, capsys, command, flags):
+        # analyze exits 1 on a deadline miss, so a bad value must not
+        # escape as a traceback, which exits 1 as well.
+        assert main(self._argv(command, tmp_path) + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--horizon", "-5"],
+            ["--horizon", "0"],
+            ["--horizon", "nan"],
+            ["--horizon", "inf"],
+            ["--report-window", "-1"],
+            ["--report-window", "nan"],
+        ],
+        ids=["horizon-neg", "horizon-0", "horizon-nan", "horizon-inf",
+             "window-neg", "window-nan"],
+    )
+    def test_simulate_window_values_exit_2(self, tmp_path, capsys, flags):
+        assert main(self._argv("simulate", tmp_path) + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --")
