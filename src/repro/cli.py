@@ -63,6 +63,13 @@ Commands
 ``methods``
     List the available analysis methods.
 
+Exit status: 0 on success; 1 for a deadline miss, a failed batch item or
+an analysis that did not drain; 2 for a usage error (``error: ...`` on
+stderr: a flag value the command cannot run with, or an input file that
+cannot be read or parsed); 3 for a soundness violation (``audit``,
+``batch --audit``, and ``validate`` when a simulated response exceeds its
+bound).
+
 ``analyze`` and ``validate`` accept ``--json`` to emit the stable
 machine-readable result schema documented in ``docs/api.md`` instead of
 the human-readable summary.  ``analyze``, ``batch`` and ``audit`` accept
@@ -86,7 +93,28 @@ __all__ = ["main", "build_parser"]
 
 
 class _UsageError(Exception):
-    """A flag value the command cannot run with; ``main`` exits 2."""
+    """A flag value or input the command cannot run with; ``main`` exits 2."""
+
+
+def _load_system(path: str):
+    """The system described in the JSON file ``path``.
+
+    Exit status 1 reports a deadline miss, so a file that cannot be read,
+    is not JSON or does not describe a system raises :class:`_UsageError`
+    instead of escaping as a traceback.  A ``SystemFormatError`` already
+    lists every bad field and is reported as it is.
+    """
+    from .model.io import SystemFormatError
+
+    try:
+        return load_system(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _UsageError(f"cannot read {path}: {reason}") from None
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"{path}: invalid JSON: {exc}") from None
+    except SystemFormatError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _add_compact_args(p: argparse.ArgumentParser) -> None:
@@ -664,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     from .obs import observe
 
-    system = load_system(args.system)
+    system = _load_system(args.system)
     options = _options_from_args(args)
     with observe(
         trace_out=args.trace_out,
@@ -683,7 +711,7 @@ def _cmd_trace(args) -> int:
     from .obs import observe
 
     options = _options_from_args(args)
-    system = load_system(args.system)
+    system = _load_system(args.system)
     with observe(
         trace_out=args.trace_out,
         metrics_out=args.metrics_out,
@@ -720,7 +748,7 @@ def _cmd_simulate(args) -> int:
         raise _UsageError(
             f"--report-window must be finite and non-negative, got {window}"
         )
-    system = load_system(args.system)
+    system = _load_system(args.system)
     res = run_simulation(
         system, horizon=args.horizon, report_window=args.report_window
     )
@@ -729,7 +757,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    system = load_system(args.system)
+    system = _load_system(args.system)
     options = _options_from_args(args)
     result = make_analyzer(args.method, options=options).analyze(system)
     if not args.json:
@@ -764,7 +792,7 @@ def _cmd_validate(args) -> int:
             "simulation": {"jobs": comparison, "all_bounds_hold": ok},
         }
         print(json.dumps(payload, indent=2, allow_nan=False))
-    return 0 if ok else 2
+    return 0 if ok else 3
 
 
 def _cmd_figures(args) -> int:
@@ -802,8 +830,12 @@ def _parse_batch_items(path: str, default_method: str) -> List["BatchItem"]:
     if path == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        try:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise _ItemParseError(f"error: cannot read {path}: {reason}") from None
 
     items: List[BatchItem] = []
     for lineno, line in enumerate(lines, start=1):
@@ -953,14 +985,14 @@ def _cmd_batch(args) -> int:
             f"audit: {report.n_violations} soundness violation(s) found",
             file=sys.stderr,
         )
-        return 2
+        return 3
     return 0 if report.n_failed == 0 else 1
 
 
 def _cmd_report(args) -> int:
     from .experiments import analysis_report
 
-    system = load_system(args.system)
+    system = _load_system(args.system)
     print(
         analysis_report(
             system,
@@ -1025,7 +1057,7 @@ def _cmd_audit(args) -> int:
         print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
     else:
         print(report.summary())
-    return 0 if report.ok else 2
+    return 0 if report.ok else 3
 
 
 def _cmd_shard(args) -> int:
@@ -1181,7 +1213,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "methods": _cmd_methods,
     }
     # Exit status 1 reports a deadline miss or a failed item, so a flag
-    # value the command cannot run with must not escape as a traceback.
+    # value or an input the command cannot run with must not escape as a
+    # traceback.
     try:
         return handlers[args.command](args)
     except _UsageError as exc:

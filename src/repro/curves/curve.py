@@ -132,9 +132,14 @@ class Curve:
         y: ArrayLike,
         final_slope: float = 0.0,
         canonicalize: bool = True,
+        owned: bool = False,
     ) -> "Curve":
-        """Internal constructor behind every factory and operator."""
-        xs, ys, fs = kernels.normalize(x, y, final_slope, canonicalize)
+        """Internal constructor behind every factory and operator.
+
+        ``owned`` hands fresh arrays over to the curve instead of having
+        them copied (see :func:`repro.curves.kernels.normalize`).
+        """
+        xs, ys, fs = kernels.normalize(x, y, final_slope, canonicalize, owned)
         xs.flags.writeable = False
         ys.flags.writeable = False
         self = object.__new__(cls)
@@ -167,9 +172,15 @@ class Curve:
         final_slope:
             Slope of the curve for ``t >= x[-1]``.  Must be ``>= 0``.
         canonicalize:
-            When true (default) the breakpoint list is normalized:
-            collinear interior points and zero-height jumps are removed
-            and near-duplicate abscissae are merged.
+            When true (default) the breakpoint list is normalized (see
+            :func:`repro.curves.kernels._canonicalize`): a third point at
+            one abscissa, the top of a jump no higher than ``EPS``, the
+            first interior point of a straight run in each of four passes,
+            every interior point of an exactly flat run, and a final point
+            that the final slope continues are removed.  A long ramp keeps
+            most of its points (a straight run of 9 keeps 5), and
+            abscissae closer than ``EPS`` are never merged: a jump is
+            never moved in time.
         """
         return cls._build(x, y, final_slope, canonicalize)
 
@@ -226,8 +237,8 @@ class Curve:
         raw = kernels.step_from_times(times, height)
         if raw is None:
             return cls.zero()
-        xs, ys = raw
-        return cls._build(xs, ys, 0.0)
+        xs, ys, canonical = raw
+        return cls._build(xs, ys, 0.0, canonicalize=not canonical, owned=True)
 
     @classmethod
     def from_staircase(cls, times: ArrayLike, height: float = 1.0) -> "Curve":

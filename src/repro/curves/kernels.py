@@ -16,6 +16,17 @@ scalar reference implementation in the test suite, so keep the operation
 order intact when editing a kernel, or regenerate the goldens
 deliberately.
 
+Construction (:func:`normalize`) validates and noise-clamps breakpoints,
+then canonicalizes them (:func:`_canonicalize`).  Jumps are exactly
+equal abscissae and never move.  Ramp points collinear within
+:data:`EPS` go in four passes that each drop the first point of every
+straight run, so a long ramp keeps most of its points.  An exactly flat
+run keeps only its two end points, since no evaluation can tell the
+difference; under bursty arrivals most of a service or availability
+curve is such runs.  The curve-valued operators hand their fresh outputs
+over (``owned``), so a result is clamped in place and copied only when
+canonicalization drops a point or the array is not contiguous.
+
 The operators that evaluate their operands on a union grid of the
 operands' own breakpoints (:func:`sum_curves`, :func:`min_curves`,
 :func:`identity_minus`) locate each operand's breakpoints in the grid
@@ -126,11 +137,13 @@ def _eval_piecewise(
 # ----------------------------------------------------------------------
 
 
-def normalize(x, y, final_slope: float, canonicalize: bool):
+def normalize(x, y, final_slope: float, canonicalize: bool, owned: bool = False):
     """Validate, noise-clamp and (optionally) canonicalize breakpoints.
 
-    Raises :class:`CurveError` on invalid input; returns fresh contiguous
-    ``(x, y, final_slope)`` the curve will freeze.
+    Raises :class:`CurveError` on invalid input; returns contiguous
+    ``(x, y, final_slope)`` the curve will freeze.  The input arrays are
+    copied unless ``owned`` hands them over: a kernel's fresh outputs are
+    clamped in place and kept when canonicalization drops nothing.
     """
     xs = _as_float_array(x)
     ys = _as_float_array(y)
@@ -145,56 +158,73 @@ def normalize(x, y, final_slope: float, canonicalize: bool):
         )
     if abs(xs[0]) > EPS:
         raise CurveError(f"curve domain must start at 0, got x[0]={xs[0]}")
-    xs = xs.copy()
-    ys = ys.copy()
+    if not owned:
+        xs = xs.copy()
+        ys = ys.copy()
     xs[0] = 0.0
-    if np.any(np.diff(xs) < -EPS):
-        raise CurveError("x must be non-decreasing")
-    if np.any(np.diff(ys) < -EPS):
-        raise CurveError("y must be non-decreasing")
-    # Clamp tiny negative diffs introduced by floating point noise.
-    np.maximum.accumulate(xs, out=xs)
-    np.maximum.accumulate(ys, out=ys)
+    if xs.size > 1:
+        # Clamp tiny negative diffs introduced by floating point noise.  A
+        # running maximum leaves an array without negative diffs (NaN
+        # aside) bit for bit as it is: on a tie NumPy keeps the new value.
+        for arr, name in ((xs, "x"), (ys, "y")):
+            low = (arr[1:] - arr[:-1]).min()
+            if low < -EPS:
+                raise CurveError(f"{name} must be non-decreasing")
+            if not low >= 0.0:
+                np.maximum.accumulate(arr, out=arr)
     final_slope = max(0.0, float(final_slope))
     if canonicalize:
         xs, ys = _canonicalize(xs, ys, final_slope)
     return np.ascontiguousarray(xs), np.ascontiguousarray(ys), final_slope
 
 
+def _drop(x: np.ndarray, y: np.ndarray, inner: np.ndarray):
+    """``x`` and ``y`` without the interior points flagged in ``inner``."""
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:-1] = ~inner
+    return x[keep], y[keep]
+
+
 def _canonicalize(
     x: np.ndarray, y: np.ndarray, final_slope: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalize the breakpoint representation.
+    """Drop breakpoints that the curve's values do not need.
 
-    * collapses runs of >2 points at the same (exactly equal) abscissa
-      to (first, last) -- jumps are encoded by *exact* duplicates only,
-      so canonicalization never moves a jump in time;
-    * removes zero-height duplicate points and collinear interior
-      points (within :data:`EPS` on values).
+    1. Of a run of more than two points at one abscissa keep the first
+       and the last.  Jumps are encoded by *exactly* equal abscissae, and
+       abscissae closer than :data:`EPS` are never merged, so
+       canonicalization never moves a jump in time.
+    2. Drop the upper point of a jump no higher than :data:`EPS`.
+    3. Drop interior ramp points collinear with their neighbours within
+       :data:`EPS`, in at most four passes.  A pass never drops two
+       neighbours, so each drops the first point of every straight run and
+       a long ramp keeps most of its points.  Then drop, in one pass, every
+       interior point of an exactly flat run (equal values, increasing
+       abscissae): no evaluation can tell it from the run's end points.
+    4. Drop the final point when the final slope continues it.
+
+    The arrays are indexed only when a step drops something.
     """
     if x.size == 1:
         return x, y
     # 1. For runs of exactly-equal abscissae keep only the first and
     #    last point (y is non-decreasing, so these are the extremes).
-    first = np.empty(x.size, dtype=bool)
-    last = np.empty(x.size, dtype=bool)
-    first[0] = True
-    first[1:] = x[1:] != x[:-1]
-    last[-1] = True
-    last[:-1] = x[:-1] != x[1:]
-    keep = first | last
-    x = x[keep]
-    y = y[keep]
+    same = x[1:] == x[:-1]
+    inner = same[:-1] & same[1:]
+    if inner.any():
+        x, y = _drop(x, y, inner)
+        same = x[1:] == x[:-1]
     # 2. Drop the upper point of zero-height jumps.
-    if x.size > 1:
-        dup = np.empty(x.size, dtype=bool)
-        dup[0] = False
-        dup[1:] = (x[1:] == x[:-1]) & (y[1:] - y[:-1] <= EPS)
-        x = x[~dup]
-        y = y[~dup]
-    # 3. Remove collinear interior points (a few passes suffice: each
-    #    pass removes every point collinear with its immediate
-    #    neighbours, which covers straight runs in one go).
+    dup = same & (y[1:] - y[:-1] <= EPS)
+    if dup.any():
+        keep = np.ones(x.size, dtype=bool)
+        keep[1:] = ~dup
+        x = x[keep]
+        y = y[keep]
+    # 3. Remove collinear interior points, at most four passes.  A pass
+    #    drops a point collinear with its immediate neighbours only when
+    #    its left neighbour is not, so it drops the first point of each
+    #    straight run.
     for _ in range(4):
         if x.size < 3:
             break
@@ -211,15 +241,23 @@ def _canonicalize(
             & (x2 > x1)
             & (np.abs((y2 - y0) * (x1 - x0) - (y1 - y0) * span) <= EPS * span)
         )
-        # Never drop both endpoints of adjacent triples in one pass;
-        # thin out alternating indices to stay safe.
+        # Never drop both endpoints of adjacent triples in one pass.  The
+        # right-hand side is read before the update, so this clears every
+        # flag whose left neighbour was flagged, not every other one.
         collinear[1:] &= ~collinear[:-1]
         if not np.any(collinear):
             break
-        keep = np.ones(x.size, dtype=bool)
-        keep[1:-1] = ~collinear
-        x = x[keep]
-        y = y[keep]
+        x, y = _drop(x, y, collinear)
+    # Exactly flat runs: a point between two others of the same value at
+    # smaller and larger abscissae.  On such a run every ramp term is
+    # ``frac * 0.0``, and a search of ``y`` lands on a run's first or
+    # past its last point, never inside it.  Run after the EPS passes,
+    # whose chords it would otherwise change.
+    if x.size >= 3:
+        run = (x[1:] > x[:-1]) & (y[1:] == y[:-1])
+        flat = run[:-1] & run[1:]
+        if flat.any():
+            x, y = _drop(x, y, flat)
     # 4. Final point redundant if it continues the final slope.
     if x.size >= 2 and x[-1] - x[-2] > EPS:
         seg_slope = (y[-1] - y[-2]) / (x[-1] - x[-2])
@@ -258,7 +296,14 @@ def check_invariants(x, y, final_slope: float) -> None:
 
 
 def step_from_times(times, height: float):
-    """Raw breakpoints of the cumulative step curve; ``None`` without times."""
+    """Breakpoints of the cumulative step curve; ``None`` without times.
+
+    Returns fresh ``(x, y, canonical)``: ``(0, 0)``, then the foot and
+    the top of one jump per distinct time, where a jump at 0 starts from
+    ``(0, 0)`` itself.  The breakpoints are in canonical form unless some
+    jump is at most :data:`EPS` high, which ``canonical`` reports:
+    canonicalization drops such a jump.
+    """
     ts = np.sort(_as_float_array(times)) if np.size(times) else np.empty(0)
     if ts.size == 0:
         return None
@@ -278,7 +323,10 @@ def step_from_times(times, height: float):
     cum = np.cumsum(counts) * float(height)
     ys[1::2] = np.concatenate(([0.0], cum[:-1]))
     ys[2::2] = cum
-    return xs, ys
+    canonical = cum[0] > EPS and bool((cum[1:] - cum[:-1] > EPS).all())
+    if uniq[0] == 0.0:  # the foot of the jump at 0 is (0, 0)
+        return xs[1:], ys[1:], canonical
+    return xs, ys, canonical
 
 
 # ----------------------------------------------------------------------

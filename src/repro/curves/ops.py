@@ -55,9 +55,9 @@ def _run_op(op: str, kernel, *args) -> Curve:
     registry = _obs_metrics.active_metrics()
     detail = _obs_trace.detail_enabled()
     if registry is None and not detail:
-        return Curve._build(*kernel(*args))
+        return Curve._build(*kernel(*args), owned=True)
     t0 = time.perf_counter()
-    result = Curve._build(*kernel(*args))
+    result = Curve._build(*kernel(*args), owned=True)
     dt = time.perf_counter() - t0
     if registry is not None:
         registry.observe("repro_curve_op_seconds", dt, op=op)
@@ -109,7 +109,7 @@ def min_curves(a: Curve, b: Curve) -> Curve:
     Segment crossings are detected and inserted so the result is an exact
     piecewise-linear representation of ``min(a, b)``.
     """
-    return Curve._build(*kernels.min_curves(a, b))
+    return Curve._build(*kernels.min_curves(a, b), owned=True)
 
 
 def identity_minus(total: Curve, lateness: float = 0.0, mode: str = "exact") -> Curve:

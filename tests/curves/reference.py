@@ -275,6 +275,19 @@ def _canonicalize(
         kept_x.append(x[-1])
         kept_y.append(y[-1])
         x, y = kept_x, kept_y
+    # Exactly flat runs, after the EPS passes: drop every interior point
+    # between two of the same value at smaller and larger abscissae.  The
+    # flags are all taken before any point goes.
+    if len(x) >= 3:
+        kept_x = [x[0]]
+        kept_y = [y[0]]
+        for i in range(1, len(x) - 1):
+            if not (x[i - 1] < x[i] < x[i + 1] and y[i - 1] == y[i] == y[i + 1]):
+                kept_x.append(x[i])
+                kept_y.append(y[i])
+        kept_x.append(x[-1])
+        kept_y.append(y[-1])
+        x, y = kept_x, kept_y
     # 4. Final point redundant if it continues the final slope.
     if len(x) >= 2 and x[-1] - x[-2] > EPS:
         seg_slope = (y[-1] - y[-2]) / (x[-1] - x[-2])

@@ -11,7 +11,11 @@ times and breakpoints within EPS of each other, which drive the EPS guard
 of ``service_transform``.  Two deterministic cases pin that guard: one
 dropped breakpoint, and a chain in which it keeps a later point.
 Exactly flat operands, alone and mixed with sloped ones, drive the
-gather paths of the grid kernels.
+gather paths of the grid kernels.  Long exact plateaus, at ``+0.0``,
+``-0.0`` and positive levels and joined by rises of one ulp up to EPS,
+drive the flat-run pass of canonicalization where it meets the EPS
+passes; two property tests check that points inside an exact plateau
+change neither the canonical form nor any evaluation.
 """
 
 import math
@@ -124,6 +128,53 @@ def flat_curves(draw):
     return Curve.from_breakpoints(xs, ys, 0.0, canonicalize=draw(st.booleans()))
 
 
+#: Plateau widths: sub-EPS ones and ordinary ones.
+plateau_widths = st.one_of(st.sampled_from([1e-12, 6e-10]),
+                           st.floats(min_value=0.01, max_value=2.0))
+
+#: Rises between plateaus: one ulp, at most EPS, or an ordinary step.
+rise_heights = st.one_of(st.sampled_from(["ulp", 1e-12, 6e-10, EPS]),
+                         st.floats(min_value=0.05, max_value=3.0))
+
+
+@st.composite
+def plateau_data(draw, rises=("jump", "ramp"), heights=rise_heights):
+    """Raw (xs, ys, final_slope) of long exact plateaus.
+
+    Each plateau repeats its level exactly over 2-14 more points: a
+    positive level, or zero, where every point draws ``+0.0`` or ``-0.0``.
+    Plateaus are joined by ``rises``: a jump, or a ramp of slope at most 1
+    (so a ramp-only curve is a valid availability or total curve).  A
+    rise of one ulp or up to EPS next to a plateau makes its end points
+    collinear within EPS, where the EPS passes and the flat-run pass
+    meet.  With jumps only, the final slope is 0 and the curve a step.
+    """
+    level = draw(st.sampled_from([0.0, -0.0, 0.7]))
+    xs, ys = [0.0], [level]
+    for k in range(draw(st.integers(min_value=1, max_value=4))):
+        if k:
+            h = draw(heights)
+            top = float(np.nextafter(level, math.inf)) if h == "ulp" else level + h
+            if draw(st.sampled_from(rises)) == "jump":
+                xs.append(xs[-1])
+            else:
+                xs.append(xs[-1] + max(top - level, draw(plateau_widths)))
+            ys.append(top)
+            level = top
+        for _ in range(draw(st.integers(min_value=2, max_value=14))):
+            xs.append(xs[-1] + draw(plateau_widths))
+            ys.append(draw(st.sampled_from([0.0, -0.0])) if level == 0 else level)
+    fs = 0.0 if "ramp" not in rises else draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return np.asarray(xs), np.asarray(ys), fs
+
+
+@st.composite
+def plateau_curves(draw, rises=("jump", "ramp")):
+    """Curves of :func:`plateau_data`, canonicalized or not."""
+    xs, ys, fs = draw(plateau_data(rises))
+    return Curve.from_breakpoints(xs, ys, fs, canonicalize=draw(st.booleans()))
+
+
 any_curves = st.one_of(step_curves(), general_curves())
 
 #: Sum operands that all take the flat path, or only some of them.
@@ -183,11 +234,81 @@ def assert_same_floats(got, want):
 # -- construction and normalization ----------------------------------------
 
 
-@settings(max_examples=80)
-@given(raw_breakpoint_data())
+@settings(max_examples=150)
+@given(st.one_of(raw_breakpoint_data(), plateau_data(),
+                 plateau_data(rises=("ramp",))))
 def test_normalize_bit_identical(data):
     xs, ys, fs = data
     assert_matches(Curve.from_breakpoints(xs, ys, fs), ref.normalize(xs, ys, fs))
+
+
+@st.composite
+def plateau_insertions(draw, rises=("jump", "ramp"), heights=rise_heights):
+    """Plateau data, and the same with 1-8 more points inside one plateau.
+
+    The new points lie strictly inside a segment of positive width whose
+    two ends hold exactly equal values, and repeat that value (at zero,
+    each with a drawn sign).
+    """
+    xs, ys, fs = draw(plateau_data(rises, heights))
+    flat = np.flatnonzero((xs[1:] > xs[:-1]) & (ys[1:] == ys[:-1]))
+    i = int(draw(st.sampled_from(flat.tolist())))
+    fracs = draw(st.lists(st.floats(min_value=0.01, max_value=0.99),
+                          min_size=1, max_size=8))
+    new = np.unique(xs[i] + np.asarray(fracs) * (xs[i + 1] - xs[i]))
+    new = new[(new > xs[i]) & (new < xs[i + 1])]
+    level = ys[i]
+    new_y = [draw(st.sampled_from([0.0, -0.0])) if level == 0 else level
+             for _ in new]
+    more_x = np.concatenate((xs[: i + 1], new, xs[i + 1:]))
+    more_y = np.concatenate((ys[: i + 1], new_y, ys[i + 1:]))
+    return (xs, ys, fs), (more_x, more_y, fs)
+
+
+#: Values to invert at: arbitrary ones, signed zeros and infinity.
+value_lists = st.lists(
+    st.one_of(st.floats(min_value=0.0, max_value=20.0),
+              st.sampled_from([0.0, -0.0, math.inf])),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=100)
+@given(plateau_insertions(rises=("jump",), heights=st.floats(0.05, 3.0)))
+def test_plateau_points_keep_canonical_form(data):
+    # Plateaus end at jumps higher than EPS here, so their end points are
+    # never candidates of the EPS passes.  (Next to a rise within EPS the
+    # added points join a straight run of those passes and can change
+    # which of its points they drop.)
+    (xs, ys, fs), (more_x, more_y, _) = data
+    want = Curve.from_breakpoints(xs, ys, fs).breakpoints()
+    got = Curve.from_breakpoints(more_x, more_y, fs).breakpoints()
+    assert_same_floats(got.x, want.x)
+    assert_same_floats(got.y, want.y)
+
+
+@settings(max_examples=150)
+@given(plateau_insertions(), query_lists, value_lists)
+def test_plateau_points_change_no_evaluation(data, ts, vs):
+    """Points inside an exact plateau are invisible to every evaluation.
+
+    This is why the flat-run pass of canonicalization is exact.  The
+    curves are left uncanonicalized, so the EPS passes play no part.
+    Queries are the breakpoints and segment midpoints of the longer curve,
+    drawn times, ``-0.0`` and ``+inf``; values are its breakpoint values,
+    drawn values and signed zeros.
+    """
+    (xs, ys, fs), (more_x, more_y, _) = data
+    base = Curve.from_breakpoints(xs, ys, fs, canonicalize=False)
+    more = Curve.from_breakpoints(more_x, more_y, fs, canonicalize=False)
+    mid = ((more_x[1:] + more_x[:-1]) / 2.0).tolist()
+    q = np.asarray(ts + more_x.tolist() + mid + [-0.0, math.inf])
+    v = np.asarray(vs + more_y.tolist() + [0.0, -0.0])
+    assert_same_floats(more.value(q), base.value(q))
+    assert_same_floats(more.value_left(q), base.value_left(q))
+    assert_same_floats(more.first_crossing(v), base.first_crossing(v))
+    assert_same_floats(more.last_below(v), base.last_below(v))
 
 
 @settings(max_examples=80)
@@ -231,7 +352,9 @@ def test_inverse_kernels_bit_identical(c, vs):
 @settings(max_examples=100)
 @given(st.one_of(st.lists(any_curves, min_size=2, max_size=4),
                  sharing_operand_lists(), flat_operand_lists,
-                 mixed_operand_lists))
+                 mixed_operand_lists,
+                 st.lists(st.one_of(plateau_curves(), any_curves),
+                          min_size=2, max_size=4)))
 @example([NEGATIVE_ZERO_FLAT, Curve.step_from_times([0.5, 1.0, 1.0 + 1e-12], 0.3)])
 @example([NEGATIVE_ZERO_FLAT, Curve.from_breakpoints([0, 2], [0, 1], 0.5)])
 def test_sum_curves_bit_identical(curves):
@@ -241,7 +364,8 @@ def test_sum_curves_bit_identical(curves):
 
 
 @settings(max_examples=100)
-@given(st.one_of(any_curves, flat_curves()), st.one_of(any_curves, flat_curves()))
+@given(st.one_of(any_curves, flat_curves(), plateau_curves()),
+       st.one_of(any_curves, flat_curves(), plateau_curves()))
 @example(NEGATIVE_ZERO_FLAT, Curve.step_from_times([0.5, 3.0], 0.3))
 def test_min_curves_bit_identical(c1, c2):
     assert_matches(min_curves(c1, c2), ref.min_curves(ref.table(c1), ref.table(c2)))
@@ -273,9 +397,11 @@ flat_totals = st.tuples(
 @settings(max_examples=100)
 @given(
     st.one_of(
-        st.tuples(bounded_rate_curves(),
+        st.tuples(st.one_of(bounded_rate_curves(),
+                            plateau_curves(rises=("ramp",))),
                   st.sampled_from(["exact", "lower", "upper"])),
         flat_totals,
+        st.tuples(plateau_curves(), st.sampled_from(["lower", "upper"])),
     ),
     st.floats(min_value=0.0, max_value=3.0),
 )
@@ -312,7 +438,9 @@ def clustered_service_inputs(draw):
 @settings(max_examples=60)
 @given(
     st.one_of(st.tuples(bounded_rate_curves(), step_curves()),
-              clustered_service_inputs()),
+              clustered_service_inputs(),
+              st.tuples(plateau_curves(rises=("ramp",)),
+                        st.one_of(step_curves(), plateau_curves(rises=("jump",))))),
     st.floats(min_value=0.0, max_value=3.0),
 )
 def test_service_transform_bit_identical(inputs, lag):
@@ -369,7 +497,8 @@ def test_service_transform_guard_chain_bit_identical():
 
 
 @settings(max_examples=40)
-@given(step_curves(), st.floats(min_value=0.1, max_value=2.0))
+@given(st.one_of(step_curves(), plateau_curves(rises=("jump",))),
+       st.floats(min_value=0.1, max_value=2.0))
 def test_fcfs_service_bounds_bit_identical(c, tau):
     lower, upper = fcfs_service_bounds(c, c, tau, t_end=120.0)
     want_lower, want_upper = ref.fcfs_service_bounds(

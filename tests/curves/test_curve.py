@@ -267,6 +267,43 @@ class TestStructure:
         f = Curve.from_breakpoints([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0], final_slope=1.0)
         assert f.n_breakpoints == 1
 
+    def test_canonicalize_collapses_flat_run(self):
+        # Every interior point of an exactly flat run goes in one pass, and
+        # the final point then continues the final slope 0.
+        xs = np.arange(12.0)
+        f = Curve.from_breakpoints(xs, np.full(12, 2.5), final_slope=0.0)
+        assert f.breakpoints().x.tolist() == [0.0]
+        assert f.breakpoints().y.tolist() == [2.5]
+
+    def test_canonicalize_flat_pass_follows_eps_passes(self):
+        # Two 6-point plateaus one ulp apart are one straight run within
+        # EPS: the four EPS passes drop its first four interior points.
+        # The flat pass then drops only the interior of the exactly equal
+        # upper run, keeping the ulp step at 5 and 6.  Flattening first, or
+        # treating the ulp step as flat, would leave the single point 0.
+        up = float(np.nextafter(1.0, 2.0))
+        f = Curve.from_breakpoints(np.arange(12.0), [1.0] * 6 + [up] * 6)
+        assert f.breakpoints().x.tolist() == [0.0, 5.0, 6.0]
+        assert f.breakpoints().y.tolist() == [1.0, 1.0, up]
+
+    def test_canonicalize_keeps_most_of_a_ramp(self):
+        # Each of the four collinearity passes drops the first point of a
+        # straight run; a ramp is not a flat run, so 5 of 9 points stay.
+        xs = np.arange(9.0)
+        f = Curve.from_breakpoints(xs, 0.5 * xs, final_slope=0.0)
+        assert f.breakpoints().x.tolist() == [0.0, 5.0, 6.0, 7.0, 8.0]
+
+    def test_canonicalize_keeps_near_duplicate_abscissae(self):
+        # A ramp 1e-12 wide is not merged into a jump; only the final
+        # point, which the flat tail continues, goes.
+        f = Curve.from_breakpoints([0, 1, 1 + 1e-12, 2], [0, 0, 1, 1])
+        assert f.breakpoints().x.tolist() == [0.0, 1.0, 1 + 1e-12]
+
+    def test_step_from_times_at_zero_is_canonical(self):
+        f = Curve.step_from_times([0.0, 0.0, 2.0], 1.5)
+        assert f.breakpoints().x.tolist() == [0.0, 0.0, 2.0, 2.0]
+        assert f.breakpoints().y.tolist() == [0.0, 3.0, 3.0, 4.5]
+
 
 class TestComparison:
     def test_dominates(self):

@@ -185,7 +185,7 @@ class TestAuditCommand:
             "audit", "--systems", "1", "--seed", "42",
             "--corrupt", "SPP/Exact", "--sim-cap", "60",
             "--artifact-dir", str(tmp_path),
-        ]) == 2
+        ]) == 3  # a soundness violation, not a usage error (2)
         out = capsys.readouterr().out
         assert "FAIL" in out
         artifacts = list(tmp_path.glob("*.json"))
@@ -296,6 +296,16 @@ class TestBatchUsageErrors:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", [["batch"], ["shard", "plan"]])
+    def test_unreadable_items_file_exits_2(self, tmp_path, capsys, command):
+        argv = command + [str(tmp_path / "missing.jsonl")]
+        if command == ["shard", "plan"]:
+            argv += ["--shards", "2", "--out", str(tmp_path / "plan.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read ")
+        assert captured.out == ""
+
     def test_existing_journal_without_resume_exits_2(self, tmp_path, capsys):
         items = self._write_items(tmp_path)
         wal = str(tmp_path / "campaign.wal")
@@ -386,3 +396,91 @@ class TestArgumentErrors:
         assert main(self._argv("simulate", tmp_path) + flags) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: --")
+
+
+class TestSystemFileErrors:
+    """A system file that cannot be loaded is a usage error on every command.
+
+    Exit 1 means a deadline miss (or a failed simulation check), so a
+    missing file, bad JSON or an invalid description must print
+    ``error: ...`` and exit 2 instead of escaping as a traceback.
+    """
+
+    INVALID = {
+        "policies": {"cpu": "spp"},
+        "jobs": [
+            {
+                "id": "a",
+                "deadline": 10.0,
+                "arrivals": {"type": "periodic", "period": -5.0},
+                "route": [["cpu", 1.0]],
+            }
+        ],
+    }
+
+    def _argv(self, command, path, tmp_path):
+        argv = [command, path]
+        if command == "trace":
+            argv += ["--trace-out", str(tmp_path / "trace.json"),
+                     "--metrics-out", str(tmp_path / "metrics.prom")]
+        return argv
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "validate", "trace", "simulate", "report"]
+    )
+    @pytest.mark.parametrize("case", ["missing", "not-json", "invalid-system"])
+    def test_exits_2_with_error(self, tmp_path, capsys, command, case):
+        path = tmp_path / "system.json"
+        if case == "not-json":
+            path.write_text("{bad")
+        elif case == "invalid-system":
+            path.write_text(json.dumps(self.INVALID))
+        assert main(self._argv(command, str(path), tmp_path)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        if case == "missing":
+            assert str(path) in err
+        if case == "invalid-system":
+            # The SystemFormatError text as it is: every bad field listed.
+            assert "job 'a', field 'arrivals.period': must be positive" in err
+        if command == "trace":
+            assert not (tmp_path / "trace.json").exists()
+
+
+class TestViolationExitStatus:
+    """A soundness violation exits 3, apart from usage errors (2)."""
+
+    def test_validate_violation_exits_3(self, system_file, capsys, monkeypatch):
+        from repro import cli
+        from repro.analysis import make_analyzer
+        from repro.audit import CorruptedAnalyzer
+
+        monkeypatch.setattr(
+            cli, "make_analyzer",
+            lambda method, options=None: CorruptedAnalyzer(
+                make_analyzer(method, options=options), factor=0.5
+            ),
+        )
+        assert main(["validate", system_file, "--method", "SPP/Exact"]) == 3
+        assert "VIOLATION" in capsys.readouterr().out
+
+    def test_batch_audit_violation_exits_3(self, tmp_path, capsys, monkeypatch):
+        from repro.audit import CorruptedAnalyzer, checks, make_audit_analyzer
+
+        clean = checks.cross_validate
+
+        def corrupted(system, methods, **kwargs):
+            analyzers = {
+                m: CorruptedAnalyzer(make_audit_analyzer(m), factor=0.5)
+                for m in methods
+            }
+            return clean(system, methods=methods, analyzers=analyzers, **kwargs)
+
+        monkeypatch.setattr(checks, "cross_validate", corrupted)
+        path = tmp_path / "items.jsonl"
+        path.write_text(json.dumps({"id": "x", "system": SYSTEM}) + "\n")
+        assert main(["batch", str(path), "--audit", "--no-cache"]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["violations"]
+        assert "soundness violation" in captured.err
