@@ -1,45 +1,66 @@
-"""Fixed-point analysis for systems with loops (paper Section 6).
+"""The Theorem-4 engine: per-hop bounds swept to a fixed point.
 
-The paper's conclusion sketches an iterative scheme ``X^{n+1} = F(X^n)``
-for systems whose arrival functions depend on each other cyclically --
-"physical loops" (a job chain revisiting a processor) and "logical loops"
-(mutual interference across processors).  The single-pass pipeline of
-:class:`~repro.analysis.compositional.CompositionalAnalysis` cannot order
-such systems topologically.
+**Theorem 4** bounds the end-to-end response time by a sum of per-hop
+delays ``d_k <= sum_j d_{k,j}`` with
+``d_{k,j} = max_m ( f_dep_lower^{-1}(m) - f_arr_upper^{-1}(m) )`` (Eq. 12).
+Per subjob and hop the engine keeps
 
-This module realizes the scheme as a Kleene iteration over the per-hop
-envelope vectors that is *sound at every iterate* (unlike starting from
-the optimistic zero vector the conclusion suggests):
+* ``early``: per-instance earliest releases, an upper bound on the
+  arrival function (Lemma 2).  No subjob is served faster than on a
+  processor of its own, so these depend only on the job's releases and
+  execution times; each horizon folds
+  :func:`~repro.analysis.hopbounds.earliest_departures` along every chain
+  once;
+* ``late``: per-instance latest releases, i.e. the previous hop's
+  departure lower bound (Lemma 1), computed by the busy-window bounds of
+  :mod:`repro.analysis.hopbounds` from the envelopes of the hop's
+  interferers.  ``late`` starts at ``+inf`` past the first hop (no claim)
+  and only tightens, so every iterate is a sound bound;
 
-* **early** envelopes start at the best-case pass-through
-  ``early_{k,j+1,m} = early_{k,j,m} + tau_{k,j}`` (no instance can move
-  through a hop faster than one dedicated execution) -- already sound;
-* **late** envelopes start at ``+inf`` (no claim about departures);
-* each sweep re-evaluates every hop with the busy-window bounds of
-  :mod:`repro.analysis.hopbounds` using the previous iterate's envelopes.
+and reports ``d_{k,j} = max_m (late_{k,j+1,m} - early_{k,j,m})``.
 
-The hop bounds are monotone in the envelopes, so the late envelopes
-descend (and early envelopes ascend) toward a fixed point; iteration stops
-when the per-job sums are stable or ``max_iterations`` is hit, and every
-intermediate result is a valid bound.
+The paper's conclusion sketches the iteration ``X^{n+1} = F(X^n)`` for
+systems whose envelopes depend on each other cyclically -- "physical
+loops" (a chain revisiting a processor) and "logical loops" (mutual
+interference across processors).  A sweep visits the hops and tightens
+the next hop's ``late`` envelope in place.  Every envelope carries a
+change stamp, and a hop is re-evaluated only when an envelope it reads
+changed after its own last evaluation.  Sweeps end at the exact fixed
+point (no hop left to re-evaluate), when the per-job sums stop moving, on
+a period-2 oscillation, or after ``max_iterations`` sweeps.
+
+On an acyclic system the hops are visited in
+:func:`~repro.analysis.base.dependency_order`, so each is evaluated once,
+from final inputs, and one sweep per horizon round *is* the paper's
+single-pass pipeline: ``SPNP/App``, ``FCFS/App``, ``SPP/App`` and
+``Mixed/App`` (:mod:`repro.analysis.compositional`) run on this engine
+and refuse cyclic systems, while ``Fixpoint/App`` sweeps those in
+declaration order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..curves import Curve, fcfs_utilization, sum_curves
+from ..model.job import SubJob
 from ..model.system import SchedulingPolicy, System
 from ..obs.metrics import inc as _metric_inc
 from ..obs.metrics import metrics_enabled as _metrics_enabled
 from ..obs.metrics import set_gauge as _metric_set_gauge
 from ..obs.trace import trace_span
-from .base import AnalysisResult, EndToEndResult
-from .compositional import blocking_time
+from .base import (
+    AnalysisResult,
+    CyclicDependencyError,
+    EndToEndResult,
+    SubjobResult,
+    dependency_order,
+)
 from .hopbounds import (
+    blocking_time,
     earliest_departures,
     fcfs_departure_bound,
     priority_departure_bound,
@@ -104,46 +125,236 @@ def _telemetry_float(value: Optional[float]) -> Optional[float]:
     return float(value)
 
 
-class FixpointAnalysis:
-    """Theorem-4 bounds via Kleene iteration; handles cyclic systems.
+class _Hop:
+    """What one hop reads: its interferers, blocking and envelope keys."""
 
-    Produces the same kind of results as :class:`CompositionalAnalysis`
-    while also supporting job chains that revisit processors and other
-    cyclic interference structures.
+    def __init__(self, system: System, sub: SubJob, policy: SchedulingPolicy):
+        self.sub = sub
+        self.policy = policy
+        self.peers = system.job_set.subjobs_on(sub.processor)
+        if policy == SchedulingPolicy.FCFS:
+            # Every other subjob may precede ours; the utilization curve
+            # reads every peer's late envelope, its own included.
+            self.interferers = [s for s in self.peers if s.key != sub.key]
+            reads = self.peers
+            self.blocking = 0.0
+        else:
+            self.interferers = [
+                s
+                for s in self.peers
+                if s.key != sub.key and s.priority < sub.priority
+            ]
+            reads = self.interferers + [sub]
+            self.blocking = blocking_time(system, sub, policy)
+        self.reads = [s.key for s in reads]
+
+
+class _Envelopes:
+    """One horizon round: envelopes, their curves and change stamps."""
+
+    def __init__(
+        self,
+        system: System,
+        fcfs_procs: frozenset,
+        h: float,
+        report: float,
+        options: Optional[AnalysisOptions],
+    ) -> None:
+        self.h = h
+        self.options = options
+        self.fcfs_procs = fcfs_procs
+        self.n_analyzed: Dict[str, int] = {}
+        self.early: Dict[Key, np.ndarray] = {}
+        self.late: Dict[Key, np.ndarray] = {}
+        for job in system.job_set:
+            rel = job.arrivals.release_times(h)
+            self.n_analyzed[job.job_id] = int(np.count_nonzero(rel <= report))
+            first = job.subjobs[0]
+            jitter = job.release_jitter
+            self.early[first.key] = rel
+            self.late[first.key] = rel + jitter if jitter > 0 else rel
+            for prev, sub in zip(job.subjobs, job.subjobs[1:]):
+                self.early[sub.key] = earliest_departures(
+                    self.early[prev.key], prev.wcet
+                )
+                self.late[sub.key] = np.full(rel.size, math.inf)
+        # A hop is evaluated at ``tick`` and its writes are stamped
+        # ``tick + 1``, so a hop that tightens an envelope it reads itself
+        # stays dirty.
+        self.tick = 0
+        self.changed_at: Dict[Key, int] = dict.fromkeys(self.late, 0)
+        self.evaluated_at: Dict[Key, int] = {}
+        self.delays: Dict[Key, float] = {}
+        self.hop_ok: Dict[Key, bool] = {}
+        self._c_early: Dict[Key, Curve] = {}
+        self._c_late: Dict[Key, Tuple[int, Curve]] = {}
+        self._u_lo: Dict[Hashable, Tuple[int, Curve]] = {}
+
+    def seed(self, carried: Dict[Key, np.ndarray]) -> None:
+        """Tighten ``late`` with a smaller horizon's envelopes.
+
+        Release prefixes agree across horizons, so instance ``m`` is the
+        same instance in both rounds, and every carried value is a sound
+        bound (see :class:`FixpointAnalysis`).
+        """
+        for key, prev in carried.items():
+            cur = self.late[key]
+            m = min(cur.size, prev.size)
+            if key[1] and m:
+                np.minimum(cur[:m], prev[:m], out=cur[:m])
+
+    def dirty(self, hop: _Hop) -> bool:
+        last = self.evaluated_at.get(hop.sub.key)
+        return last is None or any(
+            self.changed_at[k] > last for k in hop.reads
+        )
+
+    def early_curve(self, s: SubJob) -> Curve:
+        curve = self._c_early.get(s.key)
+        if curve is None:
+            curve = visible_step(self.early[s.key], s.wcet, self.h)
+            if self.options is not None:
+                # Max-count envelopes err upward: more interference.
+                curve = self.options.cap_upper(curve)
+            self._c_early[s.key] = curve
+        return curve
+
+    def late_curve(self, s: SubJob) -> Curve:
+        stamp = self.changed_at[s.key]
+        built = self._c_late.get(s.key)
+        if built is None or built[0] != stamp:
+            curve = visible_step(self.late[s.key], s.wcet, self.h)
+            if self.options is not None:
+                # Min-count envelopes err downward: less certified
+                # service.  On FCFS processors they feed the step-only
+                # fcfs_utilization kernel.
+                curve = self.options.cap_lower(
+                    curve, require_step=s.processor in self.fcfs_procs
+                )
+            built = self._c_late[s.key] = (stamp, curve)
+        return built[1]
+
+    def utilization(self, proc: Hashable, peers: Sequence[SubJob]) -> Curve:
+        """``U_lo`` of an FCFS processor's min-count total workload."""
+        stamp = max(self.changed_at[s.key] for s in peers)
+        built = self._u_lo.get(proc)
+        if built is None or built[0] != stamp:
+            total = sum_curves([self.late_curve(s) for s in peers])
+            if self.options is not None:
+                # A smaller min-count total means less certified service,
+                # so U_lo only drops: the sound direction.
+                total = self.options.cap_lower(total, require_step=True)
+            built = self._u_lo[proc] = (
+                stamp,
+                fcfs_utilization(total, t_end=self.h),
+            )
+        return built[1]
+
+    def evaluate(self, hop: _Hop) -> bool:
+        """Re-bound one hop; True if it tightened the next hop's ``late``."""
+        sub = hop.sub
+        key = sub.key
+        self.evaluated_at[key] = self.tick
+        self.tick += 1
+        env_early, env_late = self.early[key], self.late[key]
+        with trace_span(
+            "hop",
+            job=key[0],
+            hop=key[1],
+            processor=str(sub.processor),
+            policy=hop.policy.value,
+        ) as span:
+            if hop.policy == SchedulingPolicy.FCFS:
+                dep_ub = fcfs_departure_bound(
+                    [self.early_curve(s) for s in hop.interferers],
+                    self.utilization(sub.processor, hop.peers),
+                    env_late,
+                    sub.wcet,
+                )
+            else:
+                dep_ub = priority_departure_bound(
+                    [self.early_curve(s) for s in hop.interferers],
+                    [self.late_curve(s) for s in hop.interferers],
+                    self.late_curve(sub),
+                    env_late,
+                    sub.wcet,
+                    hop.blocking,
+                    self.h,
+                    options=self.options,
+                )
+            # Completions past the horizon are not proven.
+            dep_ub = np.where(dep_ub > self.h, math.inf, dep_ub)
+            m = min(env_early.size, self.n_analyzed[key[0]])
+            self.delays[key] = (
+                float(np.max(dep_ub[:m] - env_early[:m])) if m else 0.0
+            )
+            self.hop_ok[key] = bool(np.all(np.isfinite(dep_ub[:m])))
+            span.set_attrs(
+                n_instances=int(env_early.size),
+                analyzed_instances=m,
+                local_delay=self.delays[key],
+                bounded=self.hop_ok[key],
+            )
+        nxt = (key[0], key[1] + 1)
+        if nxt not in self.late:
+            return False
+        # Only value changes are installed and stamped, so the dirty
+        # check tracks real movement.
+        tightened = np.minimum(dep_ub, self.late[nxt])
+        if np.array_equal(tightened, self.late[nxt]):
+            return False
+        self.late[nxt] = tightened
+        self.changed_at[nxt] = self.tick
+        return True
+
+
+class FixpointAnalysis:
+    """Theorem-4 bounds swept to a fixed point; handles cyclic systems.
+
+    On an acyclic system it makes one sweep per horizon round and equals
+    ``Mixed/App`` (or the forced policy's single-pass method); on a
+    cyclic one it sweeps the hops in declaration order until the
+    envelopes settle.
 
     Parameters
     ----------
     horizon:
         Adaptive-horizon configuration.
     max_iterations:
-        Cap on Kleene sweeps per horizon; the last iterate is still a
-        sound bound.
+        Cap on sweeps per horizon; the last iterate is still a sound
+        bound.
     force_policy:
         Analyze every processor under this policy (as the paper's uniform
         experiments do); default honors each processor's own policy.
     options:
-        Performance options.  Compaction (if enabled) is applied to the
-        per-sweep workload curves exactly as in
-        :class:`~repro.analysis.compositional.CompositionalAnalysis`;
-        additionally ``options.warm_start`` seeds each doubled horizon's
-        iteration from the previous horizon's envelopes.  Warm-starting
-        is sound because every envelope value the iteration produces is
-        itself a valid bound: a finite latest-departure ``late_m <= h``
-        proven for the ``h``-truncated system holds for any larger
-        horizon by causality (work released after ``h`` cannot influence
-        the schedule before ``h``), and earliest-arrival envelopes are
-        derived horizon-independently from pass-through floors.  With
-        ``options=None`` (the default) every horizon cold-starts, which
-        reproduces the pre-options iteration trajectory bit for bit.
+        Performance options.  With compaction enabled, every max-count
+        envelope is compacted upward and every min-count envelope
+        downward before entering the hop-bound formulas, which can only
+        loosen (never undercut) the departure bounds.  Also with
+        compaction enabled, ``options.warm_start`` seeds each doubled
+        horizon's ``late`` envelopes with the previous horizon's.  That is
+        sound because every envelope value the iteration produces is
+        itself a valid bound: a finite latest departure ``late_m <= h``
+        proven for the ``h``-truncated system holds for any larger horizon
+        by causality (work released after ``h`` cannot influence the
+        schedule before ``h``).  It is not lossless: compacted curves
+        differ between horizons, so seeding moves compacted bounds,
+        usually down and sometimes up.  Without compaction no round is
+        seeded, so options that only change speed or telemetry leave the
+        bounds bit for bit those of ``options=None``.
     dirty_skip:
-        Skip re-bounding hops whose input envelopes did not change since
-        the previous sweep (detected by array identity, so skipped hops
-        reproduce byte-identical outputs by construction).  On by
-        default; the switch exists for the equivalence regression test.
+        Skip hops none of whose input envelopes changed since their last
+        evaluation (re-evaluating them would reproduce their outputs byte
+        for byte).  On by default; the switch exists for the equivalence
+        regression test.
+    keep_curves:
+        Retain per-hop envelopes and workload curves in the result.
     """
 
     name = "Fixpoint/App"
-    method = name  #: legacy alias for ``name``
+    #: The single-pass subclasses refuse cyclic systems and never seed a
+    #: horizon from the previous one.
+    single_pass = False
 
     def __init__(
         self,
@@ -152,41 +363,62 @@ class FixpointAnalysis:
         force_policy: Optional[SchedulingPolicy] = None,
         options: Optional[AnalysisOptions] = None,
         dirty_skip: bool = True,
+        keep_curves: bool = False,
     ) -> None:
         self.horizon = horizon or HorizonConfig()
         self.max_iterations = max_iterations
         self.force_policy = force_policy
         self.options = options
         self.dirty_skip = dirty_skip
+        self.keep_curves = keep_curves
+
+    #: Legacy alias for :attr:`name`.
+    @property
+    def method(self) -> str:
+        return self.name
 
     @property
     def policy(self) -> Optional[SchedulingPolicy]:
         """Policy forced on every processor; None honors the system's own."""
         return self.force_policy
 
-    def _policy(self, system: System, proc: Hashable) -> SchedulingPolicy:
-        return self.force_policy or system.policy(proc)
-
     def analyze(self, system: System) -> AnalysisResult:
-        needs_prio = (
-            self.force_policy in (SchedulingPolicy.SPP, SchedulingPolicy.SPNP)
-            if self.force_policy is not None
-            else system.uses_priorities()
-        )
-        if needs_prio:
-            system.job_set.validate_priorities()
+        """Compute per-hop summed response-time bounds (Theorem 4)."""
+        system.validate(self.force_policy)
         if system.max_utilization() > self.horizon.utilization_guard:
             return _overloaded_result(system, self.method)
-
-        # Warm-start carry: converged envelopes of the previous (smaller)
-        # horizon, reused as initial iterates for the next round.
-        carry: Dict[str, Dict[Key, np.ndarray]] = {}
-        warm = self.options is not None and self.options.warm_start
+        try:
+            order = dependency_order(system, for_envelopes=True)
+        except CyclicDependencyError:
+            if self.single_pass:
+                raise
+            order = system.job_set.all_subjobs()
+        policies = {
+            p: self.force_policy or system.policy(p) for p in system.processors
+        }
+        hops = [_Hop(system, sub, policies[sub.processor]) for sub in order]
+        fcfs_procs = frozenset(
+            p for p, pol in policies.items() if pol == SchedulingPolicy.FCFS
+        )
+        opts = self.options
+        warm = (
+            not self.single_pass
+            and opts is not None
+            and opts.warm_start
+            and opts.compaction_enabled
+        )
+        # Warm-start carry: the previous (smaller) horizon's envelopes.
+        carry: Optional[Dict[Key, np.ndarray]] = {} if warm else None
 
         def analyze_once(h: float, report: float):
-            return self._analyze_horizon(
-                system, h, report, carry if warm else None
-            )
+            env = _Envelopes(system, fcfs_procs, h, report, opts)
+            if carry:
+                env.seed(carry)
+            result = self._sweep(system, hops, env)
+            if carry is not None:
+                # Every iterate is sound, converged or not.
+                carry.update(env.late)
+            return result
 
         with trace_span(
             "analyze", method=self.method, n_jobs=len(list(system.jobs))
@@ -201,111 +433,41 @@ class FixpointAnalysis:
 
     # ------------------------------------------------------------------
 
-    def _analyze_horizon(
-        self,
-        system: System,
-        h: float,
-        report: float,
-        carry: Optional[Dict[str, Dict[Key, np.ndarray]]] = None,
+    def _sweep(
+        self, system: System, hops: List[_Hop], env: _Envelopes
     ) -> Tuple[AnalysisResult, bool]:
+        """Sweep one horizon round to its fixed point; build its result."""
+        h = env.h
         job_set = system.job_set
-        subs = job_set.all_subjobs()
-        releases: Dict[str, np.ndarray] = {
-            job.job_id: job.arrivals.release_times(h) for job in job_set
-        }
-        n_analyzed = {
-            job.job_id: int(np.count_nonzero(releases[job.job_id] <= report))
-            for job in job_set
-        }
-
-        # Initial envelopes: sound without any analysis.
-        early: Dict[Key, np.ndarray] = {}
-        late: Dict[Key, np.ndarray] = {}
-        for job in job_set:
-            acc = releases[job.job_id].astype(float)
-            for sub in job.subjobs:
-                early[sub.key] = acc
-                late[sub.key] = (
-                    acc + job.release_jitter
-                    if sub.index == 0
-                    else np.full(acc.size, math.inf)
-                )
-                acc = acc + sub.wcet
-
-        # Warm start: tighten the initial iterate with the previous
-        # (smaller) horizon's envelopes.  Release prefixes agree across
-        # horizons, so instance m is the same instance in both rounds;
-        # every carried value is itself a sound bound (see class docs),
-        # and min/max keep whichever side is tighter.
-        if carry:
-            for key, prev in carry["late"].items():
-                cur = late.get(key)
-                if cur is not None and prev.size:
-                    m = min(cur.size, prev.size)
-                    np.minimum(cur[:m], prev[:m], out=cur[:m])
-            for key, prev in carry["early"].items():
-                cur = early.get(key)
-                if cur is not None and prev.size:
-                    m = min(cur.size, prev.size)
-                    np.maximum(cur[:m], prev[:m], out=cur[:m])
-
-        # Dirty-set sweep state: which envelope keys each hop reads, the
-        # per-processor peer sets (for utilization-curve invalidation),
-        # and caches carried across sweeps.  ``changed=None`` marks the
-        # first sweep, where everything is dirty.
-        deps: Dict[Key, frozenset] = {}
-        proc_keys: Dict[Hashable, frozenset] = {}
-        for sub in subs:
-            peers = job_set.subjobs_on(sub.processor)
-            if sub.processor not in proc_keys:
-                proc_keys[sub.processor] = frozenset(s.key for s in peers)
-            if self._policy(system, sub.processor) == SchedulingPolicy.FCFS:
-                d = {s.key for s in peers}
-            else:
-                d = {
-                    s.key
-                    for s in peers
-                    if s.key != sub.key and s.priority < sub.priority
-                }
-            d.add(sub.key)
-            deps[sub.key] = frozenset(d)
-        state: Dict[str, Any] = {
-            "changed": None,
-            "deps": deps,
-            "proc_keys": proc_keys,
-            "c_early": {},
-            "c_late": {},
-            "u_lo": {},
-            "delays": {},
-            "hop_ok": {},
-        }
-
         prev_totals: Optional[Dict[str, float]] = None
         prev_prev_totals: Optional[Dict[str, float]] = None
         diagnostics = []
-        delays: Dict[Key, float] = {}
-        hop_ok: Dict[Key, bool] = {}
         # Convergence telemetry is opt-in (AnalysisOptions.convergence);
         # the residual gauge additionally needs an active registry.
         telemetry = self.options is not None and self.options.convergence
         introspect = telemetry or _metrics_enabled()
         sweep_records = []
         stable = False
-        for sweep in range(self.max_iterations):
-            with trace_span("fixpoint.sweep", sweep=sweep + 1, horizon=h) as span:
+        for sweep in range(1, self.max_iterations + 1):
+            with trace_span("fixpoint.sweep", sweep=sweep, horizon=h) as span:
                 prev_delays = (
-                    dict(state["delays"])
-                    if telemetry and state["changed"] is not None
-                    else None
+                    dict(env.delays) if telemetry and sweep > 1 else None
                 )
-                delays, hop_ok, skipped = self._sweep_once(
-                    system, subs, h, n_analyzed, early, late, state
-                )
+                evaluated = changed = 0
+                for hop in hops:
+                    if self.dirty_skip and not env.dirty(hop):
+                        continue
+                    evaluated += 1
+                    changed += env.evaluate(hop)
+                skipped = len(hops) - evaluated
                 totals = {
-                    job.job_id: sum(delays[s.key] for s in job.subjobs)
+                    job.job_id: sum(env.delays[s.key] for s in job.subjobs)
                     for job in job_set
                 }
-                span.set_attrs(bounded=all(hop_ok.values()), skipped=skipped)
+                bounded = all(env.hop_ok.values())
+                span.set_attrs(bounded=bounded, skipped=skipped)
+                if skipped:
+                    _metric_inc("repro_fixpoint_hops_skipped_total", skipped)
                 if introspect:
                     residual = _max_delta(totals, prev_totals)
                     _metric_inc("repro_fixpoint_sweeps_total")
@@ -313,26 +475,29 @@ class FixpointAnalysis:
                         _metric_set_gauge("repro_fixpoint_residual", residual)
                     span.set_attrs(
                         residual=residual if residual is not None else "first",
-                        dirty=len(subs) - skipped,
+                        dirty=evaluated,
                     )
                 if telemetry:
                     sweep_records.append(
                         {
-                            "sweep": sweep + 1,
+                            "sweep": sweep,
                             "residual": _telemetry_float(residual),
                             "max_hop_delta": _telemetry_float(
-                                _max_delta(delays, prev_delays)
+                                _max_delta(env.delays, prev_delays)
                             ),
-                            "dirty": len(subs) - skipped,
+                            "dirty": evaluated,
                             "skipped": skipped,
-                            "changed": len(state["changed"]),
-                            "bounded": all(hop_ok.values()),
+                            "changed": changed,
+                            "bounded": bounded,
                         }
                     )
-            # Converged only when every bound is finite and stable: an
+            # Exact fixed point: no hop would see new inputs.  Otherwise
+            # converged only when every bound is finite and stable: an
             # infinite total may still be propagating through the loop
             # (each sweep resolves one more hop of a cyclic chain).
-            if prev_totals is not None and _totals_close(totals, prev_totals):
+            if not any(env.dirty(hop) for hop in hops) or (
+                prev_totals is not None and _totals_close(totals, prev_totals)
+            ):
                 stable = True
                 break
             # Watchdog: a period-2 oscillation (this sweep matches the one
@@ -349,7 +514,7 @@ class FixpointAnalysis:
                     {
                         "kind": "oscillation",
                         "source": "FixpointAnalysis",
-                        "sweep": sweep + 1,
+                        "sweep": sweep,
                         "horizon": h,
                         "detail": (
                             "per-job delay sums alternate between two values; "
@@ -369,17 +534,11 @@ class FixpointAnalysis:
                     "horizon": h,
                     "detail": (
                         f"per-job delay sums not stable after "
-                        f"{self.max_iterations} Kleene sweeps; returning the "
+                        f"{self.max_iterations} sweeps; returning the "
                         f"last (sound) iterate"
                     ),
                 }
             )
-
-        if carry is not None:
-            # Every iterate is sound, converged or not, so the envelopes
-            # are always safe to reuse as the next round's seed.
-            carry["early"] = dict(early)
-            carry["late"] = dict(late)
 
         result = AnalysisResult(
             method=self.method, horizon=h, drained=False, converged=False
@@ -401,147 +560,31 @@ class FixpointAnalysis:
             }
         all_ok = True
         for job in job_set:
-            ok = all(hop_ok[s.key] for s in job.subjobs)
-            wcrt = sum(delays[s.key] for s in job.subjobs) if ok else math.inf
-            if n_analyzed[job.job_id] == 0:
+            ok = all(env.hop_ok[s.key] for s in job.subjobs)
+            wcrt = totals[job.job_id] if ok else math.inf
+            if env.n_analyzed[job.job_id] == 0:
                 wcrt, ok = 0.0, True
             all_ok = all_ok and ok
-            result.jobs[job.job_id] = EndToEndResult(
+            res = EndToEndResult(
                 job_id=job.job_id,
                 deadline=job.deadline,
                 wcrt=wcrt,
-                n_instances=n_analyzed[job.job_id],
+                n_instances=env.n_analyzed[job.job_id],
             )
-        return result, all_ok
-
-    def _sweep_once(
-        self,
-        system: System,
-        subs,
-        h: float,
-        n_analyzed: Dict[str, int],
-        early: Dict[Key, np.ndarray],
-        late: Dict[Key, np.ndarray],
-        state: Dict[str, Any],
-    ) -> Tuple[Dict[Key, float], Dict[Key, bool], int]:
-        """One Kleene sweep: re-bound dirty hops, tighten envelopes in place.
-
-        A hop is *dirty* when any envelope it reads (its own, or a
-        same-processor interferer's) changed values in the previous
-        sweep.  Clean hops are skipped outright: their inputs are
-        value-identical, so re-running the deterministic bound
-        computation would reproduce the cached ``delays``/``hop_ok``
-        entries and the (idempotent) next-hop tightening byte for byte.
-        """
-        job_set = system.job_set
-        opts = self.options
-        changed_prev: Optional[set] = state["changed"]
-        c_early: Dict[Key, Curve] = state["c_early"]
-        c_late: Dict[Key, Curve] = state["c_late"]
-        for s in subs:
-            k = s.key
-            if changed_prev is None or k in changed_prev:
-                ce = visible_step(early[k], s.wcet, h)
-                cl = visible_step(late[k], s.wcet, h)
-                if opts is not None:
-                    # Min-count curves on FCFS processors feed the
-                    # step-only fcfs_utilization kernel via total_late.
-                    fcfs = (
-                        self._policy(system, s.processor)
-                        == SchedulingPolicy.FCFS
+            if self.keep_curves:
+                res.hops = [
+                    SubjobResult(
+                        key=s.key,
+                        processor=s.processor,
+                        wcet=s.wcet,
+                        priority=s.priority,
+                        local_delay=env.delays[s.key],
+                        arrival_times=env.early[s.key],
+                        completion_times=env.late[s.key],
+                        service_lower=env.late_curve(s),
+                        service_upper=env.early_curve(s),
                     )
-                    ce = opts.cap_upper(ce)
-                    cl = opts.cap_lower(cl, require_step=fcfs)
-                c_early[k] = ce
-                c_late[k] = cl
-        u_lo_cache: Dict[Hashable, Curve] = state["u_lo"]
-        if changed_prev is None:
-            u_lo_cache.clear()
-        else:
-            for proc in [
-                p
-                for p, keys in state["proc_keys"].items()
-                if p in u_lo_cache and keys & changed_prev
-            ]:
-                del u_lo_cache[proc]
-        new_early: Dict[Key, np.ndarray] = {}
-        new_late: Dict[Key, np.ndarray] = {}
-        delays: Dict[Key, float] = state["delays"]
-        hop_ok: Dict[Key, bool] = state["hop_ok"]
-        skipped = 0
-        for sub in subs:
-            key = sub.key
-            if (
-                self.dirty_skip
-                and changed_prev is not None
-                and not (state["deps"][key] & changed_prev)
-            ):
-                skipped += 1
-                continue
-            peers = job_set.subjobs_on(sub.processor)
-            policy = self._policy(system, sub.processor)
-            if policy == SchedulingPolicy.FCFS:
-                if sub.processor not in u_lo_cache:
-                    total_late = sum_curves([c_late[s.key] for s in peers])
-                    if opts is not None:
-                        total_late = opts.cap_lower(
-                            total_late, require_step=True
-                        )
-                    u_lo_cache[sub.processor] = fcfs_utilization(
-                        total_late, t_end=h
-                    )
-                dep_ub = fcfs_departure_bound(
-                    [c_early[s.key] for s in peers if s.key != key],
-                    u_lo_cache[sub.processor],
-                    late[key],
-                    sub.wcet,
-                )
-            else:
-                higher = [
-                    s
-                    for s in peers
-                    if s.key != key and s.priority < sub.priority
+                    for s in job.subjobs
                 ]
-                lag = blocking_time(system, sub, policy)
-                dep_ub = priority_departure_bound(
-                    [c_early[s.key] for s in higher],
-                    [c_late[s.key] for s in higher],
-                    c_late[key],
-                    late[key],
-                    sub.wcet,
-                    lag,
-                    h,
-                    options=opts,
-                )
-            n = early[key].size
-            m_rep = min(n, n_analyzed[key[0]])
-            if n:
-                dep_ub = dep_ub.copy()
-                dep_ub[dep_ub > h] = math.inf
-                gaps = dep_ub[:m_rep] - early[key][:m_rep]
-                delays[key] = float(np.max(gaps)) if gaps.size else 0.0
-                hop_ok[key] = bool(np.all(np.isfinite(dep_ub[:m_rep])))
-                arr_next = earliest_departures(
-                    c_early[key], early[key], sub.wcet, h
-                )
-            else:
-                arr_next = np.empty(0)
-                delays[key] = 0.0
-                hop_ok[key] = True
-            nxt = (key[0], key[1] + 1)
-            if nxt in early:
-                # Tighten monotonically: later earliest-arrivals,
-                # earlier latest-departures.  Only value changes are
-                # installed, so the dirty set tracks real movement.
-                tightened = np.maximum(arr_next, early[nxt])
-                if not np.array_equal(tightened, early[nxt]):
-                    new_early[nxt] = tightened
-                tightened = np.minimum(dep_ub, late[nxt])
-                if not np.array_equal(tightened, late[nxt]):
-                    new_late[nxt] = tightened
-        early.update(new_early)
-        late.update(new_late)
-        state["changed"] = set(new_early) | set(new_late)
-        if skipped:
-            _metric_inc("repro_fixpoint_hops_skipped_total", float(skipped))
-        return delays, hop_ok, skipped
+            result.jobs[job.job_id] = res
+        return result, all_ok

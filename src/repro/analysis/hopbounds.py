@@ -45,11 +45,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..curves import Curve, identity_minus, sum_curves
+from ..model.job import SubJob
+from ..model.system import SchedulingPolicy, System
 from .options import AnalysisOptions
 
 __all__ = [
     "visible_step",
     "earliest_departures",
+    "blocking_time",
     "apply_departure_floors",
     "priority_departure_bound",
     "fcfs_departure_bound",
@@ -87,9 +90,7 @@ def apply_departure_floors(
     return shifted + idx
 
 
-def earliest_departures(
-    c_early: Curve, early: np.ndarray, wcet: float, horizon: float
-) -> np.ndarray:
+def earliest_departures(early: np.ndarray, wcet: float) -> np.ndarray:
     """Lemma-2 next-hop *early* envelope, provably sound.
 
     No schedule can serve a subjob faster than a processor dedicated to
@@ -97,12 +98,36 @@ def earliest_departures(
     ``dep_m = max(early_m, dep_{m-1}) + wcet`` -- exactly the departure
     floors applied to ``early_m + wcet`` -- which equals the crossings of
     the full-availability service transform ``kernel(identity, c_early)``
-    (Theorem 3 with ``A(t) = t``) in closed form.
+    (Theorem 3 with ``A(t) = t``) in closed form.  The result depends only
+    on the subjob's own arrivals, never on its interferers.
     """
-    n = early.size
-    if n == 0:
+    if early.size == 0:
         return early
     return apply_departure_floors(early + wcet, early, wcet)
+
+
+def blocking_time(
+    system: System,
+    sub: SubJob,
+    policy: Optional[SchedulingPolicy] = None,
+) -> float:
+    """Maximum blocking time ``b_{k,j}`` (Eq. 15, generalized).
+
+    On an SPNP processor a started lower-priority subjob runs to
+    completion, so the bound is the largest lower-priority execution time
+    (the paper's Eq. 15).  On an SPP processor a lower-priority subjob
+    can still mask preemption for its ``nonpreemptive_section``, so the
+    bound is the largest such masked region -- zero for fully preemptive
+    workloads, recovering the original preemptive analysis.
+    """
+    if policy is None:
+        policy = system.policy(sub.processor)
+    others = [
+        s.wcet if policy == SchedulingPolicy.SPNP else s.nonpreemptive_section
+        for s in system.job_set.subjobs_on(sub.processor)
+        if s.key != sub.key and s.priority > sub.priority
+    ]
+    return max(others, default=0.0)
 
 
 def priority_departure_bound(

@@ -6,12 +6,12 @@ warm-starting -- so they can be threaded uniformly through
 :func:`~repro.analysis.admission.make_analyzer`, the batch engine, and
 the CLI without changing any analyzer's positional signature.
 
-The default for every analyzer is ``options=None``, which is the exact
-pre-layer behavior (no compaction, cold-started horizons); passing
-``AnalysisOptions()`` enables only the lossless warm-start, and setting
-``compact_budget``/``compact_max_error`` additionally trades bound
+The default for every analyzer is ``options=None``: no compaction and
+cold-started horizons.  ``AnalysisOptions()`` gives the same bounds bit
+for bit; setting ``compact_budget``/``compact_max_error`` trades bound
 tightness for speed in a certified direction (bounds stay sound, they
-only get looser).  Exact analyses ignore compaction entirely; see
+only get looser than the exact ones) and, for ``Fixpoint/App``, turns on
+horizon warm-starting.  Exact analyses ignore compaction entirely; see
 ``docs/performance.md`` for guidance on choosing budgets.
 """
 
@@ -40,9 +40,12 @@ class AnalysisOptions:
     compact_mode: str = "budget"
     #: Certified vertical error bound for ``compact_mode="error"``.
     compact_max_error: Optional[float] = None
-    #: Seed each doubled horizon's fixpoint iteration from the previous
-    #: horizon's envelopes (lossless: every seeded value is itself a
-    #: sound bound; see ``FixpointAnalysis``).
+    #: With compaction enabled, seed each doubled horizon of
+    #: ``Fixpoint/App`` from the previous horizon's envelopes.  Sound
+    #: (every seeded value is itself a bound; see ``FixpointAnalysis``)
+    #: and usually tighter, but not lossless: compacted curves differ
+    #: between horizons, so some bounds also come out looser.  Without
+    #: compaction no horizon is seeded.
     warm_start: bool = True
     #: Record per-sweep fixpoint convergence telemetry (max residual,
     #: per-hop bound deltas, dirty-set sizes) in the result's

@@ -39,7 +39,7 @@ from ..model.job import SubJob
 from ..model.system import SchedulingPolicy, System
 from ..obs.trace import trace_span
 from .base import AnalysisResult, EndToEndResult, SubjobResult, dependency_order
-from .compositional import blocking_time
+from .hopbounds import blocking_time
 
 __all__ = ["StationaryAnalysis"]
 
@@ -91,8 +91,7 @@ class StationaryAnalysis:
             return result
 
     def _analyze(self, system: System) -> AnalysisResult:
-        if system.uses_priorities():
-            system.job_set.validate_priorities()
+        system.validate()
         job_set = system.job_set
         order = dependency_order(system, for_envelopes=True)
 

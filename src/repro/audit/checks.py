@@ -152,9 +152,11 @@ def make_audit_analyzer(
 ):
     """Instantiate a method with per-hop artifacts retained when supported.
 
-    The audit's hop-bracket checks need ``keep_curves=True``; analyzers
-    without that knob (holistic, fixpoint, stationary) are constructed
-    plainly and contribute only end-to-end checks.  ``options`` threads
+    The audit's hop-bracket checks need ``keep_curves=True``.  Every
+    Theorem-4 method and SPP/Exact retain the envelopes they bracket;
+    Stationary/NC keeps only its curves, and SPP/S&L has no such knob: it
+    is constructed plainly and contributes only end-to-end checks.
+    ``options`` threads
     :class:`~repro.analysis.AnalysisOptions` through, so a campaign can
     audit the *compacted* analysis pipeline: compaction only loosens
     bounds, so every simulated response must still fall inside them.

@@ -65,10 +65,12 @@ Commands
 
 Exit status: 0 on success; 1 for a deadline miss, a failed batch item or
 an analysis that did not drain; 2 for a usage error (``error: ...`` on
-stderr: a flag value the command cannot run with, or an input file that
-cannot be read or parsed); 3 for a soundness violation (``audit``,
-``batch --audit``, and ``validate`` when a simulated response exceeds its
-bound).
+stderr: a flag value the command cannot run with, an input file that
+cannot be read or parsed, or a system the method or the simulator
+refuses -- a cyclic system for a single-pass method, SPP/Exact on a
+non-SPP system, priorities missing or tied on a processor scheduled by
+priority); 3 for a soundness violation (``audit``, ``batch --audit``, and
+``validate`` when a simulated response exceeds its bound).
 
 ``analyze`` and ``validate`` accept ``--json`` to emit the stable
 machine-readable result schema documented in ``docs/api.md`` instead of
@@ -85,7 +87,8 @@ import math
 import sys
 from typing import List, Optional
 
-from .analysis import AnalysisOptions, METHODS, make_analyzer
+from .analysis import METHODS, AnalysisError, AnalysisOptions, make_analyzer
+from .model import PriorityError
 from .model.io import load_system
 from .sim import simulate as run_simulation
 
@@ -993,6 +996,10 @@ def _cmd_report(args) -> int:
     from .experiments import analysis_report
 
     system = _load_system(args.system)
+    if not args.no_simulate:
+        # The cross-check simulates the system under its own policies;
+        # refuse it up front rather than after the analyses.
+        system.validate()
     print(
         analysis_report(
             system,
@@ -1213,11 +1220,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "methods": _cmd_methods,
     }
     # Exit status 1 reports a deadline miss or a failed item, so a flag
-    # value or an input the command cannot run with must not escape as a
-    # traceback.
+    # value, an input or a system the command cannot run with must not
+    # escape as a traceback.
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, AnalysisError, PriorityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ from .priorities import (
     assign_priorities_proportional_deadline,
     assign_priorities_rate_monotonic,
 )
-from .system import SchedulingPolicy, System
+from .system import PriorityError, SchedulingPolicy, System
 
 __all__ = [
     "ArrivalProcess",
@@ -35,6 +35,7 @@ __all__ = [
     "Job",
     "SubJob",
     "JobSet",
+    "PriorityError",
     "SchedulingPolicy",
     "System",
     "assign_priorities_by_key",

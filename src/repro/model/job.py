@@ -243,11 +243,3 @@ class JobSet:
 
     def priorities_assigned(self) -> bool:
         return all(s.priority is not None for s in self.all_subjobs())
-
-    def validate_priorities(self) -> None:
-        """Check that every subjob has a priority (after assignment)."""
-        missing = [s.key for s in self.all_subjobs() if s.priority is None]
-        if missing:
-            raise ValueError(
-                f"subjobs without priority (run a priority assignment): {missing}"
-            )

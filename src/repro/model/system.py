@@ -10,11 +10,11 @@ The paper analyzes systems whose processors run preemptive static priority
 from __future__ import annotations
 
 import enum
-from typing import Dict, Hashable, Iterable, Mapping, Union
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Union
 
 from .job import Job, JobSet, SubJob
 
-__all__ = ["SchedulingPolicy", "System"]
+__all__ = ["PriorityError", "SchedulingPolicy", "System"]
 
 
 class SchedulingPolicy(enum.Enum):
@@ -29,6 +29,10 @@ class SchedulingPolicy(enum.Enum):
         if isinstance(value, cls):
             return value
         return cls(value.lower())
+
+
+class PriorityError(ValueError):
+    """Priorities are missing or tied on a processor scheduled by priority."""
 
 
 class System:
@@ -96,27 +100,30 @@ class System:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self) -> None:
+    def validate(self, policy: Optional[SchedulingPolicy] = None) -> None:
         """Check model consistency before analysis or simulation.
 
         Priorities must be assigned on every SPP/SPNP processor and be
         unique per processor (ties would make the SPP service functions
         ill-defined; assignment policies in :mod:`repro.model.priorities`
-        always break ties deterministically).
+        always break ties deterministically).  ``policy`` checks every
+        processor as if it ran that policy, as an analysis that forces one
+        policy on the whole system does; by default each processor's own
+        policy applies.  Raises :class:`PriorityError`.
         """
         for proc in self.processors:
-            pol = self.policy(proc)
+            pol = policy or self.policy(proc)
             if pol == SchedulingPolicy.FCFS:
                 continue
             subs = self.job_set.subjobs_on(proc)
             prios = [s.priority for s in subs]
             if any(p is None for p in prios):
-                raise ValueError(
+                raise PriorityError(
                     f"processor {proc!r} ({pol.value}) has subjobs without "
                     f"priorities; run a priority assignment first"
                 )
             if len(set(prios)) != len(prios):
-                raise ValueError(
+                raise PriorityError(
                     f"processor {proc!r} ({pol.value}) has duplicate priorities "
                     f"{sorted(prios)}"
                 )

@@ -8,7 +8,7 @@ Two complementary samplers, both stdlib-only:
   to per-edge cumulative time, the standard flamegraph approximation for
   deterministic profiles).  One output line per path::
 
-      main;run_adaptive;_sweep_once;service_transform 12345
+      main;run_adaptive;_sweep;evaluate;sum_curves 12345
 
   with integer microsecond weights -- exactly what ``flamegraph.pl``,
   speedscope and Brendan Gregg's tooling consume.

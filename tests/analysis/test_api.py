@@ -20,8 +20,10 @@ from repro.model import (
     Job,
     JobSet,
     PeriodicArrivals,
+    PriorityError,
     SchedulingPolicy,
     System,
+    assign_priorities_explicit,
     assign_priorities_proportional_deadline,
 )
 
@@ -153,3 +155,45 @@ class TestCycleExtraction:
         cycle = exc_info.value.cycle
         assert cycle[0] == cycle[-1]
         assert len(cycle) >= 3
+
+
+class TestPriorityCheck:
+    """Every method checks priorities under the policy it analyzes."""
+
+    @staticmethod
+    def _tied_system(policy="spp"):
+        # Two jobs share priority 1; the one served second finishes at 4.
+        jobs = [
+            Job.build(j, [("P1", 2.0)], PeriodicArrivals(5.0), 3.0)
+            for j in ("a", "b")
+        ]
+        sys_ = System(JobSet(jobs), policy)
+        assign_priorities_explicit(sys_.job_set, {("a", 0): 1, ("b", 0): 1})
+        return sys_
+
+    @pytest.mark.parametrize(
+        "method", sorted(m for m in METHODS if m != "FCFS/App")
+    )
+    def test_tied_priorities_are_refused(self, method):
+        with pytest.raises(PriorityError, match="duplicate priorities"):
+            make_analyzer(method).analyze(self._tied_system())
+
+    def test_fcfs_ignores_priorities(self):
+        result = make_analyzer("FCFS/App").analyze(self._tied_system())
+        assert result.jobs["a"].wcrt == result.jobs["b"].wcrt == 4.0
+        assert not result.schedulable
+
+    def test_forced_policy_is_the_one_checked(self):
+        # On FCFS processors ties are harmless, unless a priority policy
+        # is forced on them.
+        sys_ = self._tied_system("fcfs")
+        assert make_analyzer("Mixed/App").analyze(sys_).jobs["a"].wcrt == 4.0
+        for method in ("SPNP/App", "SPP/App"):
+            with pytest.raises(PriorityError):
+                make_analyzer(method).analyze(sys_)
+
+    def test_missing_priorities_are_refused(self):
+        jobs = [Job.build("a", [("P1", 1.0)], PeriodicArrivals(5.0), 3.0)]
+        for method in ("SPP/App", "Fixpoint/App", "Stationary/NC"):
+            with pytest.raises(PriorityError, match="without priorities"):
+                make_analyzer(method).analyze(System(JobSet(jobs), "spp"))

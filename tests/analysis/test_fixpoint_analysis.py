@@ -2,13 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
+from test_golden import CASES, _build_system
 
 from repro.analysis import (
+    AnalysisOptions,
+    CompositionalAnalysis,
     CyclicDependencyError,
+    FcfsApproxAnalysis,
     FixpointAnalysis,
+    HorizonConfig,
+    SpnpApproxAnalysis,
     SppApproxAnalysis,
     dependency_order,
+    make_analyzer,
 )
 from repro.model import (
     Job,
@@ -20,6 +28,16 @@ from repro.model import (
     assign_priorities_proportional_deadline,
 )
 from repro.sim import simulate
+from repro.workloads import (
+    ShopTopology,
+    generate_aperiodic_jobset,
+    generate_periodic_jobset,
+)
+
+THEOREM4_METHODS = ["SPNP/App", "FCFS/App", "SPP/App", "Mixed/App", "Fixpoint/App"]
+#: Some periodic sets creep for all twelve default rounds; four keep the
+#: engine comparisons quick without changing what they compare.
+SHORT = HorizonConfig(max_rounds=4)
 
 
 def spp_system(jobs, priorities=None):
@@ -40,15 +58,55 @@ def physical_loop_system():
     return spp_system([a, b])
 
 
+def acyclic_systems():
+    """The golden zoo plus generated job shops; none has a loop."""
+    for case in CASES:
+        yield case[0], _build_system(*case[1:])
+    rng = np.random.default_rng(7)
+    for stages in (1, 2, 3):
+        topology = ShopTopology(stages, 2)
+        for periodic in (True, False):
+            if periodic:
+                job_set = generate_periodic_jobset(topology, 4, 0.6, 3.0, rng)
+            else:
+                job_set = generate_aperiodic_jobset(topology, 4, 0.6, 3.0, 4.0, rng)
+            assign_priorities_proportional_deadline(job_set)
+            procs = sorted(job_set.processors)
+            policies = {p: ("spp", "spnp", "fcfs")[i % 3] for i, p in enumerate(procs)}
+            yield f"shop{stages}{'pb'[not periodic]}", System(job_set, policies)
+
+
+def _payload(result):
+    data = result.to_dict()
+    data.pop("method")
+    return data
+
+
 class TestAcyclicAgreement:
     def test_matches_single_pass_engine(self):
-        j1 = Job.build("T1", [("P1", 2.0), ("P2", 1.0)], PeriodicArrivals(4.0), 16.0)
-        j2 = Job.build("T2", [("P1", 1.0), ("P2", 2.0)], PeriodicArrivals(6.0), 24.0)
-        sys_ = spp_system([j1, j2])
-        fix = FixpointAnalysis(force_policy=SchedulingPolicy.SPP).analyze(sys_)
-        one = SppApproxAnalysis().analyze(sys_)
-        for jid in one.jobs:
-            assert fix.jobs[jid].wcrt == pytest.approx(one.jobs[jid].wcrt, rel=1e-6)
+        # One engine: on an acyclic system the fixpoint is the single
+        # pass, bit for bit, whatever policy is forced.
+        policies = [
+            SchedulingPolicy.SPNP, SchedulingPolicy.FCFS, SchedulingPolicy.SPP, None
+        ]
+        for name, sys_ in acyclic_systems():
+            for policy in policies:
+                fix = FixpointAnalysis(SHORT, force_policy=policy).analyze(sys_)
+                one = CompositionalAnalysis(SHORT, force_policy=policy).analyze(sys_)
+                assert _payload(fix) == _payload(one), (name, policy)
+
+    @pytest.mark.parametrize("method", THEOREM4_METHODS)
+    def test_one_sweep_per_round(self, method):
+        # Dependency order evaluates every hop once, from final inputs,
+        # so no hop is left dirty and no sweep confirms the first.
+        telemetry = AnalysisOptions(convergence=True)
+        for name, sys_ in acyclic_systems():
+            result = make_analyzer(method, SHORT, options=telemetry).analyze(sys_)
+            rounds = result.convergence["rounds"]
+            assert len(rounds) == result.rounds, name
+            for entry in rounds:
+                assert entry["n_sweeps"] == 1, name
+                assert entry["stable"] and entry["sweeps"][0]["skipped"] == 0
 
     def test_lone_job(self):
         job = Job.build("A", [("P1", 1.0)], PeriodicArrivals(4.0), 8.0)
@@ -61,6 +119,25 @@ class TestPhysicalLoop:
         sys_ = physical_loop_system()
         with pytest.raises(CyclicDependencyError):
             dependency_order(sys_, for_envelopes=True)
+
+    @pytest.mark.parametrize(
+        "cls",
+        [SpnpApproxAnalysis, FcfsApproxAnalysis, SppApproxAnalysis, CompositionalAnalysis],
+    )
+    def test_single_pass_methods_raise(self, cls):
+        with pytest.raises(CyclicDependencyError):
+            cls().analyze(physical_loop_system())
+
+    def test_keep_curves(self):
+        res = FixpointAnalysis(keep_curves=True).analyze(physical_loop_system())
+        hops = res.jobs["A"].hops
+        assert [h.key for h in hops] == [("A", 0), ("A", 1), ("A", 2)]
+        assert sum(h.local_delay for h in hops) == res.jobs["A"].wcrt
+        for hop in hops:
+            assert hop.service_lower is not None and hop.service_upper is not None
+            early, late = hop.arrival_times, hop.completion_times
+            assert early.size == late.size > 0
+            assert np.all(early <= late)
 
     def test_fixpoint_handles_loop(self):
         sys_ = physical_loop_system()

@@ -55,15 +55,13 @@ class TestFloors:
 class TestEarliestDepartures:
     def test_dedicated_processor_rate(self):
         arr = np.array([0.0, 0.1])
-        c = visible_step(arr, 2.0, 100.0)
-        out = earliest_departures(c, arr, 2.0, 100.0)
+        out = earliest_departures(arr, 2.0)
         # Back-to-back service: 2 and 4.
         assert np.allclose(out, [2.0, 4.0])
 
     def test_idle_gap(self):
         arr = np.array([0.0, 10.0])
-        c = visible_step(arr, 1.0, 100.0)
-        out = earliest_departures(c, arr, 1.0, 100.0)
+        out = earliest_departures(arr, 1.0)
         assert np.allclose(out, [1.0, 11.0])
 
 

@@ -42,8 +42,7 @@ def test_floors_respect_physics(arr, tau):
 @given(arrival_lists, wcets)
 @settings(max_examples=60)
 def test_earliest_departures_are_dedicated_processor_times(arr, tau):
-    c = visible_step(arr, tau, 1e9)
-    out = earliest_departures(c, arr, tau, 1e9)
+    out = earliest_departures(arr, tau)
     # Matches the recursion dep_m = max(arr_m, dep_{m-1}) + tau.
     expect = []
     prev = -math.inf
@@ -59,7 +58,7 @@ def test_priority_bound_dominates_dedicated(arr, tau):
     """With interference present the bound can only grow beyond the
     dedicated-processor completion times."""
     own = visible_step(arr, tau, 1e9)
-    dedicated = earliest_departures(own, arr, tau, 1e9)
+    dedicated = earliest_departures(arr, tau)
     hp = Curve.step_from_times([0.0, 5.0, 10.0], 1.0)
     out = priority_departure_bound([hp], [hp], own, arr, tau, 0.0, 1e9)
     assert np.all(out >= dedicated - 1e-9)
@@ -80,7 +79,7 @@ def test_fcfs_bound_alone_equals_dedicated(arr, tau):
     c = visible_step(arr, tau, 1e9)
     u = fcfs_utilization(c, t_end=float(arr[-1] + tau * arr.size + 10))
     out = fcfs_departure_bound([], u, arr, tau)
-    dedicated = earliest_departures(c, arr, tau, 1e9)
+    dedicated = earliest_departures(arr, tau)
     assert np.allclose(out, dedicated, atol=1e-6)
 
 

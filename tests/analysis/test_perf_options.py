@@ -1,11 +1,12 @@
 """Regression tests for the performance layer (AnalysisOptions).
 
 The layer must be invisible when off (byte-identical results with
-``options=None``, with dirty-set skipping on or off) and certified when
-on (compacted bounds dominate exact bounds, warm-started horizons agree
-with cold-started ones).
+``options=None``, with dirty-set skipping on or off, and with options
+that only change speed or telemetry) and certified when on (compacted
+bounds dominate exact bounds).
 """
 
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.model import (
     System,
     TraceArrivals,
     assign_priorities_proportional_deadline,
+    system_from_dict,
 )
 from repro.obs.metrics import metrics
 
@@ -71,14 +73,62 @@ def test_dirty_skip_matches_naive_sweeps():
     assert skipping.rounds == naive.rounds
 
 
+THEOREM4_METHODS = ["SPNP/App", "FCFS/App", "SPP/App", "Mixed/App", "Fixpoint/App"]
+
+#: Seed-0 shop_sweep set ``s0043-b2u3`` under SPP.  Seeding Fixpoint/App's
+#: horizons from the previous round once made it run all twelve rounds
+#: unconverged (T3 1.1014 instead of 1.0804) whenever any options object
+#: was passed, even one that only sized the curve cache.
+S0043_B2U3 = {
+    "policies": {"P1": "spp", "P4": "spp", "P2": "spp"},
+    "priority_assignment": "explicit",
+    "jobs": [
+        {"id": "T1", "deadline": 0.5775702791582228,
+         "arrivals": {"type": "bursty", "x": 0.929456216976141},
+         "route": [["P1", 0.11720520368860399, 1], ["P4", 0.039912362921246766, 1]]},
+        {"id": "T2", "deadline": 0.5612027922235583,
+         "arrivals": {"type": "bursty", "x": 0.4029030661109865},
+         "route": [["P2", 0.22201730131551697, 1], ["P4", 0.15409319768793522, 2]]},
+        {"id": "T3", "deadline": 5.145086613104102,
+         "arrivals": {"type": "bursty", "x": 0.787887794185894},
+         "route": [["P1", 0.24250013286104136, 2], ["P4", 0.17464487939617182, 4]]},
+        {"id": "T4", "deadline": 3.6884738999735025,
+         "arrivals": {"type": "bursty", "x": 0.787352912485961},
+         "route": [["P2", 0.26741318312459494, 2], ["P4", 0.08029184186340282, 3]]},
+    ],
+}
+
+
+def payload(result):
+    data = result.to_dict()
+    data.pop("convergence", None)
+    return data
+
+
 def test_warm_start_matches_cold_start():
-    sys_ = cyclic_system()
-    # AnalysisOptions() enables only the (lossless) warm start.
-    warm = FixpointAnalysis(options=AnalysisOptions()).analyze(sys_)
-    cold = FixpointAnalysis(options=None).analyze(sys_)
-    for job_id, w in wcrts(warm).items():
-        assert w == pytest.approx(wcrts(cold)[job_id], rel=1e-12, abs=1e-12)
-    assert warm.schedulable == cold.schedulable
+    # AnalysisOptions() asks for warm starts, but without compaction no
+    # horizon is seeded: every method's payload is that of options=None.
+    for method in THEOREM4_METHODS:
+        systems = [bursty_system(n_jobs=4, n_inst=100)]
+        if method == "Fixpoint/App":
+            systems.append(cyclic_system())
+        for sys_ in systems:
+            cold = make_analyzer(method).analyze(sys_)
+            warm = make_analyzer(method, options=AnalysisOptions()).analyze(sys_)
+            assert warm.to_dict() == cold.to_dict(), method
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [AnalysisOptions(cache_size=64), AnalysisOptions(convergence=True)],
+    ids=["cache_size", "convergence"],
+)
+def test_speed_and_telemetry_options_keep_fixpoint_bounds(opts):
+    sys_ = system_from_dict(json.loads(json.dumps(S0043_B2U3)))
+    plain = FixpointAnalysis().analyze(sys_)
+    assert plain.converged and plain.rounds == 5
+    assert plain.jobs["T3"].wcrt == 1.080351071153669
+    assert payload(FixpointAnalysis(options=opts).analyze(sys_)) == payload(plain)
 
 
 def test_hops_skipped_metric_increments():
@@ -87,6 +137,15 @@ def test_hops_skipped_metric_increments():
         FixpointAnalysis().analyze(sys_)
         skipped = registry.counters.get("repro_fixpoint_hops_skipped_total", {})
     assert sum(skipped.values()) > 0
+
+
+def test_no_hop_skipped_on_acyclic_systems():
+    # Dependency order settles an acyclic system in one sweep per round.
+    with metrics() as registry:
+        FixpointAnalysis().analyze(bursty_system(n_jobs=4, n_inst=100))
+        sweeps = registry.counter_value("repro_fixpoint_sweeps_total")
+        skipped = registry.counter_value("repro_fixpoint_hops_skipped_total")
+    assert sweeps >= 1 and not skipped
 
 
 # -- compaction is certified when on ---------------------------------------

@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from repro.audit import (
     AUDIT_METHODS,
@@ -84,10 +83,32 @@ def test_fcfs_system_skips_spp_only_methods():
 
 
 def test_make_audit_analyzer_keeps_curves_when_supported():
-    analyzer = make_audit_analyzer("SPNP/App")
-    assert getattr(analyzer, "keep_curves", False)
+    for method in ("SPNP/App", "Fixpoint/App"):
+        assert getattr(make_audit_analyzer(method), "keep_curves", False)
     # Methods without the knob still construct.
-    assert make_audit_analyzer("Stationary/NC") is not None
+    assert make_audit_analyzer("SPP/S&L") is not None
+
+
+def test_fixpoint_hop_brackets_are_checked():
+    from repro.audit import CorruptedAnalyzer
+
+    system = _two_job_system()
+    plain = make_audit_analyzer("Fixpoint/App")
+    with_hops = cross_validate(
+        system, methods=["Fixpoint/App"], sim_cap=60.0,
+        analyzers={"Fixpoint/App": plain}, check_envelopes=False,
+    )
+    end_to_end = cross_validate(
+        system, methods=["Fixpoint/App"], sim_cap=60.0,
+        analyzers={"Fixpoint/App": type(plain)()}, check_envelopes=False,
+    )
+    assert with_hops.ok and with_hops.n_checks > end_to_end.n_checks
+    corrupted = cross_validate(
+        system, methods=["Fixpoint/App"], sim_cap=60.0,
+        analyzers={"Fixpoint/App": CorruptedAnalyzer(plain, factor=0.5)},
+        check_envelopes=False,
+    )
+    assert any(v.kind == "hop_upper" for v in corrupted.violations)
 
 
 def test_verify_trace_accepts_legal_periodic_trace():

@@ -484,3 +484,95 @@ class TestViolationExitStatus:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["violations"]
         assert "soundness violation" in captured.err
+
+
+class TestAnalyzerRefusals:
+    """A system the method or the simulator refuses is a usage error.
+
+    It prints ``error: ...`` and exits 2 instead of escaping as a
+    traceback with exit 1, the status of a deadline miss.
+    """
+
+    #: Two jobs share priority 1 on P1.
+    TIED = {
+        "policies": {"P1": "spp"},
+        "priority_assignment": "explicit",
+        "jobs": [
+            {
+                "id": job,
+                "deadline": 3.0,
+                "arrivals": {"type": "periodic", "period": 5.0},
+                "route": [["P1", 2.0, 1]],
+            }
+            for job in ("a", "b")
+        ],
+    }
+    #: A chain revisiting P1 (a physical loop).
+    LOOP = {
+        "policies": {"P1": "spp", "P2": "spp"},
+        "jobs": [
+            {
+                "id": "a",
+                "deadline": 30.0,
+                "arrivals": {"type": "periodic", "period": 10.0},
+                "route": [["P1", 1.0], ["P2", 1.0], ["P1", 1.0]],
+            }
+        ],
+    }
+
+    def _run(self, tmp_path, capsys, data, command, *flags):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        argv = [command, str(path), *flags]
+        if command == "trace":
+            argv += ["--trace-out", str(tmp_path / "trace.json"),
+                     "--metrics-out", str(tmp_path / "metrics.prom")]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "validate", "trace", "report", "simulate"]
+    )
+    def test_tied_priorities_exit_2(self, tmp_path, capsys, command):
+        code, out, err = self._run(tmp_path, capsys, self.TIED, command)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "duplicate priorities" in err
+
+    @pytest.mark.parametrize(
+        "method", ["Fixpoint/App", "SPP/App", "SPNP/App", "Stationary/NC"]
+    )
+    def test_tied_priorities_exit_2_for_every_priority_method(
+        self, tmp_path, capsys, method
+    ):
+        code, _, err = self._run(
+            tmp_path, capsys, self.TIED, "analyze", "--method", method
+        )
+        assert code == 2 and "duplicate priorities" in err
+
+    def test_fcfs_ignores_tied_priorities(self, tmp_path, capsys):
+        code, out, _ = self._run(
+            tmp_path, capsys, self.TIED, "analyze", "--method", "FCFS/App"
+        )
+        assert code == 1 and "wcrt=4" in out
+
+    @pytest.mark.parametrize("method", ["SPNP/App", "FCFS/App", "Mixed/App"])
+    def test_single_pass_on_loop_exits_2(self, tmp_path, capsys, method):
+        code, out, err = self._run(
+            tmp_path, capsys, self.LOOP, "analyze", "--method", method
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cyclic subjob dependencies")
+
+    def test_fixpoint_analyzes_the_loop(self, tmp_path, capsys):
+        code, _, _ = self._run(
+            tmp_path, capsys, self.LOOP, "analyze", "--method", "Fixpoint/App"
+        )
+        assert code == 0
+
+    def test_spp_exact_on_fcfs_exits_2(self, tmp_path, capsys):
+        data = dict(SYSTEM, policies={"cpu": "fcfs"})
+        code, out, err = self._run(tmp_path, capsys, data, "analyze")
+        assert code == 2 and out == ""
+        assert "requires every processor to use SPP" in err
