@@ -91,7 +91,7 @@ def main() -> None:
     from repro.analysis.hopbounds import priority_departure_bound
 
     dep_hi = priority_departure_bound(
-        [], [], c_hi, hi_times, tau_hi, blocking=b_hi, horizon=20.0
+        [], [], c_hi, hi_times, tau_hi, blocking=b_hi
     )
     print(f"  HI worst-case completions: {np.round(dep_hi, 2)}")
     print(f"  HI worst-case responses:   {np.round(dep_hi - hi_times, 2)}")

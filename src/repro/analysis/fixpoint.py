@@ -279,7 +279,6 @@ class _Envelopes:
                     env_late,
                     sub.wcet,
                     hop.blocking,
-                    self.h,
                     options=self.options,
                 )
             # Completions past the horizon are not proven.

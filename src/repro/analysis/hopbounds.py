@@ -137,7 +137,6 @@ def priority_departure_bound(
     late_arrivals: np.ndarray,
     wcet: float,
     blocking: float,
-    horizon: float,
     options: Optional[AnalysisOptions] = None,
 ) -> np.ndarray:
     """Busy-window departure upper bounds under SPP/SPNP.

@@ -28,15 +28,22 @@ over (``owned``), so a result is clamped in place and copied only when
 canonicalization drops a point or the array is not contiguous.
 
 The operators that evaluate their operands on a union grid of the
-operands' own breakpoints (:func:`sum_curves`, :func:`min_curves`,
-:func:`identity_minus`) locate each operand's breakpoints in the grid
-and count them, instead of searching the operand for every grid point
-(:func:`_eval_on_grid`).  An operand that is exactly piecewise constant
-(:func:`_is_flat`), such as a workload step envelope, is read off the
-grid instead of interpolated, and :func:`sum_curves` over such operands
-adds right values only, taking each left limit from the grid point
-before.  The input picks the path: continuous operands, such as
-service curves, are interpolated.
+operands' own breakpoints (:func:`sum_curves`, :func:`min_curves`)
+locate each operand's breakpoints in the grid and count them, instead
+of searching the operand for every grid point (:func:`_eval_on_grid`).
+An operand that is exactly piecewise constant (:func:`_is_flat`), such
+as a workload step envelope, is read off the grid instead of
+interpolated, and :func:`sum_curves` over such operands adds right
+values only, taking each left limit from the grid point before.  The
+input picks the path: continuous operands, such as service curves, are
+interpolated.
+
+:func:`identity_minus` has a single operand, so its grid is that
+operand's distinct abscissae (plus ``lateness``), its values are read
+off the operand's own breakpoints, bit for bit what
+:func:`_eval_on_grid` computes there, and it emits one point per
+abscissa, not a pair where the operand jumps; its docstring says why
+that is exact.
 
 :func:`service_transform` assembles the emissions of its running-min
 recursion positionally with ``cumsum``/``repeat``
@@ -621,32 +628,53 @@ def min_curves(a, b):
 
 
 def identity_minus(total, lateness: float, mode: str):
-    """Availability ``max(0, t - lateness - total(t))`` plus its closure."""
+    """Availability ``max(0, t - lateness - total(t))`` plus its closure.
+
+    ``h(t) = t - lateness - total(t)`` is read at the total's own distinct
+    abscissae plus ``lateness``; between them ``h`` is linear.  At an
+    abscissa where the total jumps by more than :data:`EPS`, ``h`` jumps
+    down: ``top`` holds its left limit there and ``foot`` its right value,
+    elsewhere both hold the right value.  One point is emitted per
+    abscissa, at ``top``, and the ramp after it starts from ``foot``.
+
+    Emitting ``foot`` as a second point at the abscissa would change
+    nothing.  Under either closure the pair comes out equal, since the
+    foot is never above the top; without one it differs by at most EPS (a
+    larger dip is closed), and the noise clamp of :func:`normalize` lifts
+    the foot to the top, with the same running maximum everywhere else.
+    Canonicalization then drops exactly the pair's second point.
+    """
     if mode == "exact" and not total.is_continuous(tol=1e-7):
         raise CurveError(
             "exact availability transform requires a continuous total"
         )
     if mode == "exact" and total.final_slope > 1.0 + 1e-9:
-        raise CurveError(
-            "exact availability transform received a total with slope > 1"
-        )
-    grid = _union_grid([total._x, np.asarray([lateness])])
-    # Interleave left/right values so downward jumps of h (= upward
-    # jumps of `total`) are represented exactly before the monotone
-    # closure.
-    t_left, t_right = _eval_on_grid(total, grid)
-    h_left = grid - lateness - t_left
-    h_right = grid - lateness - t_right
-    jump = h_left > h_right + EPS
-    n = grid.size + int(np.count_nonzero(jump))
-    xs = np.empty(n)
-    hs = np.empty(n)
-    pos = np.arange(grid.size) + np.concatenate(([0], np.cumsum(jump[:-1])))
-    xs[pos] = grid
-    hs[pos] = np.where(jump, h_left, h_right)
-    jpos = pos[jump] + 1
-    xs[jpos] = grid[jump]
-    hs[jpos] = h_right[jump]
+        raise CurveError("exact availability transform received a slope > 1")
+    x, y = total._x, total._y
+    # The values of :func:`_eval_on_grid` at the total's own breakpoints,
+    # without a search.  The right value at an abscissa is its last point's
+    # ``y`` plus a zero (the segment starts there, d = 0), whose sign
+    # ``grid - lateness - total`` cannot see: ``grid - lateness`` is never
+    # -0.0.  The left limit is the end of the segment that runs to the
+    # abscissa's first point from the last point before it (d / dx is
+    # exactly 1.0); on a flat total that is the right value at the abscissa
+    # before, as the gather path reads it.
+    last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+    grid = x[last]
+    t_right = y[last]
+    before = t_right[:-1]
+    t_left = np.concatenate(([y[0]], before + (y[last[:-1] + 1] - before)))
+    k = int(np.searchsorted(grid, lateness))
+    if k == grid.size or grid[k] != lateness:
+        # Between breakpoints the total is continuous: left = right.
+        at_lateness = eval_right(x, y, total._final_slope, [lateness])
+        grid = np.insert(grid, k, lateness)
+        t_left = np.insert(t_left, k, at_lateness)
+        t_right = np.insert(t_right, k, at_lateness)
+    shifted = grid - lateness
+    h_left = shifted - t_left
+    foot = shifted - t_right
+    top = np.where(h_left > foot + EPS, h_left, foot)
     # Insert *every* zero-upcrossing of h so max(0, h) is exact.  h can
     # dip below zero repeatedly (each workload jump pushes it down); a
     # clamped segment without its crossing breakpoint would interpolate
@@ -654,44 +682,51 @@ def identity_minus(total, lateness: float, mode: str):
     # overestimating the availability there -- which, through
     # ``last_below``, unsoundly *shrinks* the busy-window departure
     # bounds built on this curve.
-    up = np.nonzero((hs[:-1] < -EPS) & (hs[1:] > EPS) & (np.diff(xs) > EPS))[0]
-    if up.size:
-        x0, x1 = xs[up], xs[up + 1]
-        h0, h1 = hs[up], hs[up + 1]
-        t = x0 - h0 * (x1 - x0) / (h1 - h0)
-        keep = (t > x0 + EPS) & (t < x1 - EPS)
-        xs = np.insert(xs, up[keep] + 1, t[keep])
-        hs = np.insert(hs, up[keep] + 1, 0.0)
-    if hs[-1] < -EPS:
+    up = np.flatnonzero(
+        (foot[:-1] < -EPS) & (top[1:] > EPS) & (np.diff(grid) > EPS)
+    )
+    x0, x1, h0, h1 = grid[up], grid[up + 1], foot[up], top[up + 1]
+    t = x0 - h0 * (x1 - x0) / (h1 - h0)
+    keep = (t > x0 + EPS) & (t < x1 - EPS)
+    at = up[keep] + 1
+    zeros = t[keep]
+    if foot[-1] < -EPS:
         # h ends below zero (the last workload jump pushed it under) and
         # recovers only in the tail, at slope 1 - final_slope.  Without
         # that crossing the clamped curve would start rising straight
         # from the last breakpoint instead of from the true zero.
         fs_h = 1.0 - total.final_slope
         if fs_h > EPS:
-            x_last = xs[-1]
-            t = x_last - hs[-1] / fs_h
+            x_last = grid[-1]
+            t = x_last - foot[-1] / fs_h
             if t > x_last + EPS and math.isfinite(t):
-                xs = np.append(xs, t)
-                hs = np.append(hs, 0.0)
-    y = np.maximum(hs, 0.0)
-    dips = np.diff(y)
-    if mode == "exact" and bool(np.any(dips < -1e-7)):
-        raise CurveError(
-            "exact availability transform received a total with slope > 1"
-        )
+                at = np.append(at, grid.size)
+                zeros = np.append(zeros, t)
+    top = np.maximum(top, 0.0)
+    foot = np.maximum(foot, 0.0)
+    # The clamped h dips at a jump (foot below top) and along a ramp (the
+    # next top below this foot).  A zero crossing splits a ramp that rises
+    # from 0, and the tail crossing follows a foot at 0: neither dips.
+    dip = min((foot - top).min(), (top[1:] - foot[:-1]).min(initial=0.0))
+    if mode == "exact" and dip < -1e-7:
+        raise CurveError("exact availability transform received a slope > 1")
+    xs = grid
+    if at.size:
+        xs = np.insert(grid, at, zeros)
+        top = np.insert(top, at, 0.0)
+        foot = np.insert(foot, at, 0.0)
     # Close *any* dip beyond the constructor tolerance, not just the
     # >1e-7 ones: dips in (EPS, 1e-7] used to slip through the closure
     # and then crash Curve's monotonicity check.  In exact mode such a
     # residual dip is float noise (real violations raised above), and
     # the running maximum matches the constructor's own noise clamp.
     fs = max(0.0, 1.0 - total.final_slope)
-    if bool(np.any(dips < -EPS)):
-        if mode == "lower":  # suffix min: non-decreasing, never above y
-            y = np.minimum.accumulate(y[::-1])[::-1]
+    if dip < -EPS:
+        if mode == "lower":  # suffix min: non-decreasing, never above h
+            top = np.minimum.accumulate(foot[::-1])[::-1]
         else:  # upper (or exact-mode noise): exact running maximum
-            xs, y = _running_max_closure(xs, y, fs)
-    return xs, y, fs
+            xs, top = _running_max_closure(xs, top, foot, fs)
+    return xs, top, fs
 
 
 def service_transform(B, c, lag: float, t_end: float):
@@ -718,9 +753,13 @@ def service_transform(B, c, lag: float, t_end: float):
 
 
 def _running_max_closure(
-    xs: np.ndarray, y: np.ndarray, fs: float
+    xs: np.ndarray, top: np.ndarray, foot: np.ndarray, fs: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact running maximum of the piecewise-linear function ``(xs, y)``.
+    """Exact running maximum of the availability :func:`identity_minus` emits.
+
+    Point ``i`` is ``(xs[i], top[i])`` and the ramp after it starts from
+    ``foot[i] <= top[i]``, so the running maximum reads ``top`` and each
+    ramp rises from ``foot[i]`` to ``top[i + 1]``.
 
     Taking the cumulative maximum at breakpoints alone is not enough:
     after a drop, interpolating straight to the next kept point draws a
@@ -728,22 +767,22 @@ def _running_max_closure(
     two points.  As a leftover *service* curve that overshoot is unsound
     (it grants service the processor never guaranteed).  The true closure
     is flat at the previous peak until ``h`` catches up, so insert that
-    catch-up point on every recovering segment, then take the cumulative
+    catch-up point on every recovering ramp, then take the cumulative
     maximum.
     """
-    m = np.maximum.accumulate(y)
+    m = np.maximum.accumulate(top)
     prev_m = m[:-1]
-    rise = y[1:] - y[:-1]
     dx = xs[1:] - xs[:-1]
-    cross = (y[:-1] < prev_m - EPS) & (y[1:] > prev_m + EPS) & (dx > EPS)
+    cross = (foot[:-1] < prev_m - EPS) & (top[1:] > prev_m + EPS) & (dx > EPS)
     if bool(np.any(cross)):
         idx = np.nonzero(cross)[0]
-        t = xs[idx] + (prev_m[idx] - y[idx]) * dx[idx] / rise[idx]
+        rise = top[idx + 1] - foot[idx]
+        t = xs[idx] + (prev_m[idx] - foot[idx]) * dx[idx] / rise
         xs = np.insert(xs, idx + 1, t)
         m = np.insert(m, idx + 1, prev_m[idx])
     # Same reasoning in the tail: when the raw h ends below the running
     # maximum, the closure is flat until h catches up at slope ``fs``.
-    gap = float(m[-1] - y[-1])
+    gap = float(m[-1] - foot[-1])
     if gap > EPS and fs > 0:
         t_catch = float(xs[-1]) + gap / fs
         if math.isfinite(t_catch):

@@ -69,7 +69,7 @@ class TestPriorityBound:
     def test_no_interference(self):
         arr = np.array([0.0, 10.0])
         own = visible_step(arr, 2.0, 100.0)
-        out = priority_departure_bound([], [], own, arr, 2.0, 0.0, 100.0)
+        out = priority_departure_bound([], [], own, arr, 2.0, 0.0)
         assert np.allclose(out, [2.0, 12.0])
 
     def test_hp_interference_counted(self):
@@ -77,13 +77,13 @@ class TestPriorityBound:
         hp_c = Curve.step_from_times([0.0], 1.0)
         arr = np.array([0.0])
         own = visible_step(arr, 2.0, 100.0)
-        out = priority_departure_bound([hp_c], [hp_c], own, arr, 2.0, 0.0, 100.0)
+        out = priority_departure_bound([hp_c], [hp_c], own, arr, 2.0, 0.0)
         assert out[0] == pytest.approx(3.0)
 
     def test_blocking_added(self):
         arr = np.array([0.0])
         own = visible_step(arr, 1.0, 100.0)
-        out = priority_departure_bound([], [], own, arr, 1.0, 2.5, 100.0)
+        out = priority_departure_bound([], [], own, arr, 1.0, 2.5)
         assert out[0] == pytest.approx(3.5)
 
     def test_uncertain_interferer_position_covered(self):
@@ -95,7 +95,7 @@ class TestPriorityBound:
         arr_late = np.array([5.0])
         own = visible_step(arr_late, 2.0, 100.0)
         out = priority_departure_bound(
-            [hp_early], [hp_late], own, arr_late, 2.0, 0.0, 100.0
+            [hp_early], [hp_late], own, arr_late, 2.0, 0.0
         )
         # Worst case: hp arrives just before/with us at 5 -> done by 8.
         assert out[0] >= 8.0 - 1e-9
@@ -103,13 +103,13 @@ class TestPriorityBound:
     def test_backlogged_own_instances(self):
         arr = np.array([0.0, 0.0, 0.0])
         own = visible_step(arr, 1.0, 100.0)
-        out = priority_departure_bound([], [], own, arr, 1.0, 0.0, 100.0)
+        out = priority_departure_bound([], [], own, arr, 1.0, 0.0)
         assert np.allclose(out, [1.0, 2.0, 3.0])
 
     def test_infinite_late_arrival_propagates(self):
         arr = np.array([0.0, math.inf])
         own = visible_step(arr, 1.0, 100.0)
-        out = priority_departure_bound([], [], own, arr, 1.0, 0.0, 100.0)
+        out = priority_departure_bound([], [], own, arr, 1.0, 0.0)
         assert out[0] == pytest.approx(1.0)
         assert math.isinf(out[1])
 

@@ -60,7 +60,7 @@ def test_priority_bound_dominates_dedicated(arr, tau):
     own = visible_step(arr, tau, 1e9)
     dedicated = earliest_departures(arr, tau)
     hp = Curve.step_from_times([0.0, 5.0, 10.0], 1.0)
-    out = priority_departure_bound([hp], [hp], own, arr, tau, 0.0, 1e9)
+    out = priority_departure_bound([hp], [hp], own, arr, tau, 0.0)
     assert np.all(out >= dedicated - 1e-9)
 
 
@@ -68,8 +68,8 @@ def test_priority_bound_dominates_dedicated(arr, tau):
 @settings(max_examples=40)
 def test_priority_bound_monotone_in_blocking(arr, tau, b):
     own = visible_step(arr, tau, 1e9)
-    out0 = priority_departure_bound([], [], own, arr, tau, 0.0, 1e9)
-    outb = priority_departure_bound([], [], own, arr, tau, b, 1e9)
+    out0 = priority_departure_bound([], [], own, arr, tau, 0.0)
+    outb = priority_departure_bound([], [], own, arr, tau, b)
     assert np.all(outb >= out0 - 1e-9)
 
 

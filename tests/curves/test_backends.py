@@ -15,12 +15,18 @@ gather paths of the grid kernels.  Long exact plateaus, at ``+0.0``,
 ``-0.0`` and positive levels and joined by rises of one ulp up to EPS,
 drive the flat-run pass of canonicalization where it meets the EPS
 passes; two property tests check that points inside an exact plateau
-change neither the canonical form nor any evaluation.
+change neither the canonical form nor any evaluation.  ``identity_minus``
+reads its total's own breakpoints, so it is driven with a lateness at,
+between and past them, totals with three or more points at one abscissa,
+step sums with releases less than EPS apart, totals compacted to chords
+with jumps, and totals that the ``exact`` mode refuses with the oracle's
+message.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,9 +35,11 @@ from repro.curves import (
     EPS,
     Curve,
     identity_minus,
+    kernels,
     service_transform,
     sum_curves,
 )
+from repro.curves.compact import MIN_BUDGET, compact
 from repro.curves.kernels import _running_min_branch
 from repro.curves.ops import fcfs_service_bounds, min_curves
 
@@ -393,25 +401,175 @@ flat_totals = st.tuples(
     st.sampled_from(["lower", "upper"]),
 )
 
+#: Step sums whose releases come in chains less than EPS apart, at
+#: heights down to sub-EPS ones.
+near_release_totals = st.tuples(
+    st.builds(sum_curves,
+              st.lists(st.builds(Curve.step_from_times, clustered_times,
+                                 st.one_of(st.sampled_from([1e-12, 6e-10]),
+                                           st.floats(0.05, 0.6))),
+                       min_size=2, max_size=6)),
+    st.sampled_from(["lower", "upper"]),
+)
 
-@settings(max_examples=100)
-@given(
-    st.one_of(
+
+@st.composite
+def compacted_totals(draw):
+    """Step sums compacted to chords: non-flat totals with jumps.
+
+    As the analyses cap them, the max-count total is compacted upward and
+    feeds the lower closure, the min-count one downward and feeds the
+    upper closure.
+    """
+    curves = draw(st.lists(step_curves(), min_size=2, max_size=5))
+    total = sum_curves(curves).scale(draw(st.floats(0.1, 0.9)))
+    direction, mode = draw(st.sampled_from([("upper", "lower"),
+                                            ("lower", "upper")]))
+    budget = draw(st.integers(min_value=MIN_BUDGET, max_value=16))
+    return compact(total, direction, budget=budget, shape="linear"), mode
+
+
+@st.composite
+def stacked_totals(draw):
+    """Uncanonicalized totals with three or more points on one abscissa.
+
+    Ramps of slope at most 1 alternate with stacks of 3-5 points at one
+    abscissa, rising by zero (a zero-height jump) or by a step.  With
+    zero-height stacks only, the total is continuous and valid in
+    ``exact`` mode.
+    """
+    xs, ys = [0.0], [0.0]
+    jumpy = False
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        width = draw(st.floats(min_value=0.01, max_value=3.0))
+        xs.append(xs[-1] + width)
+        ys.append(ys[-1] + width * draw(st.floats(min_value=0.0, max_value=1.0)))
+        for _ in range(draw(st.integers(min_value=2, max_value=4))):
+            rise = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
+            jumpy = jumpy or rise > 0.0
+            xs.append(xs[-1])
+            ys.append(ys[-1] + rise)
+    fs = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    total = Curve.from_breakpoints(xs, ys, fs, canonicalize=False)
+    modes = ["lower", "upper"] if jumpy else ["exact", "lower", "upper"]
+    return total, draw(st.sampled_from(modes))
+
+
+@st.composite
+def refused_totals(draw):
+    """Totals the ``exact`` mode must refuse, or accept as float noise.
+
+    A jump, a final slope above 1, or a ramp steep enough for ``h`` to
+    dip; the dip may be as small as 1e-7, where refusal starts.
+    """
+    kind = draw(st.sampled_from(["jump", "final_slope", "steep"]))
+    if kind == "jump":
+        total = Curve.step_from_times(draw(times_strategy), draw(heights))
+    elif kind == "final_slope":
+        total = Curve.from_breakpoints(
+            [0.0], [0.0], draw(st.floats(min_value=1.0, max_value=3.0)))
+    else:
+        x0 = draw(st.floats(min_value=0.01, max_value=3.0))
+        width = draw(st.floats(min_value=1e-3, max_value=2.0))
+        dip = draw(st.sampled_from([5e-8, 1e-7, 2e-7, 0.5]))
+        total = Curve.from_breakpoints(
+            [0.0, x0, x0 + width], [0.0, 0.5 * x0, 0.5 * x0 + width + dip],
+            draw(st.floats(min_value=0.0, max_value=1.0)))
+    return total, "exact"
+
+
+@st.composite
+def identity_minus_inputs(draw):
+    """A total, a mode, and a lateness.
+
+    The lateness is drawn freely, or is one of the total's abscissae,
+    strictly between two of them, or past the last one: the grid of
+    ``identity_minus`` is the total's own abscissae plus the lateness.
+    """
+    total, mode = draw(st.one_of(
         st.tuples(st.one_of(bounded_rate_curves(),
                             plateau_curves(rises=("ramp",))),
                   st.sampled_from(["exact", "lower", "upper"])),
         flat_totals,
         st.tuples(plateau_curves(), st.sampled_from(["lower", "upper"])),
-    ),
-    st.floats(min_value=0.0, max_value=3.0),
+        st.tuples(general_curves(), st.sampled_from(["lower", "upper"])),
+        near_release_totals,
+        compacted_totals(),
+        stacked_totals(),
+        refused_totals(),
+    ))
+    xs = np.unique(total.breakpoints().x)
+    where = draw(st.sampled_from(["free", "at", "between", "past"]))
+    if where == "at":
+        lateness = float(draw(st.sampled_from(xs.tolist())))
+    elif where == "between" and xs.size > 1:
+        i = draw(st.integers(min_value=0, max_value=xs.size - 2))
+        frac = draw(st.floats(min_value=0.01, max_value=0.99))
+        lateness = float(xs[i] + frac * (xs[i + 1] - xs[i]))
+    elif where == "past":
+        lateness = float(xs[-1] + draw(st.floats(min_value=1e-3, max_value=3.0)))
+    else:
+        lateness = draw(st.floats(min_value=0.0, max_value=3.0))
+    return total, mode, lateness
+
+
+#: A ramp of ``h`` that starts below zero and ends above its earlier
+#: peak: after a jump of 3 at 1.3 the total rises by 0.4 up to 9.7, so
+#: ``h`` crosses zero on the ramp, at 3.19, and then catches up with the
+#: peak 1.2, at 4.45.  The upper closure measures the catch-up from the
+#: crossing, not from the foot of the jump (2.93).
+CATCH_UP_TOTAL = Curve.from_breakpoints(
+    [0.0, 1.3, 1.3, 9.7, 9.7], [0.0, 0.1, 3.1, 3.5, 4.2], 0.3
 )
-@example((NEGATIVE_ZERO_FLAT.scale(0.5), "upper"), 0.0)
-def test_identity_minus_bit_identical(total_mode, lateness):
-    total, mode = total_mode
-    assert_matches(
-        identity_minus(total, lateness=lateness, mode=mode),
-        ref.identity_minus(ref.table(total), lateness, mode),
-    )
+
+
+@settings(max_examples=200)
+@given(identity_minus_inputs())
+@example((NEGATIVE_ZERO_FLAT.scale(0.5), "upper", 0.0))
+@example((CATCH_UP_TOTAL, "upper", 0.0))
+# The left limit at the jump is 0.3 + (0.9 - 0.3), one ulp above 0.9.
+@example((Curve.from_breakpoints([0, 2, 3, 3], [0, 0.3, 0.9, 1.9], 0.0),
+          "upper", 0.0))
+@example((Curve.from_breakpoints([0, 1, 1, 1, 2], [0, 0.5, 0.5, 0.5, 1.0], 0.5,
+                                 canonicalize=False), "exact", 1.0))
+def test_identity_minus_bit_identical(inputs):
+    """Byte-identical to the oracle, or refused with the oracle's message.
+
+    Both refuse with a ``ValueError`` (the kernel's ``CurveError`` is one).
+    """
+    total, mode, lateness = inputs
+    try:
+        want = ref.identity_minus(ref.table(total), lateness, mode)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            identity_minus(total, lateness=lateness, mode=mode)
+        assert str(got.value) == str(exc)
+        return
+    assert_matches(identity_minus(total, lateness=lateness, mode=mode), want)
+
+
+def test_identity_minus_emits_one_point_per_abscissa():
+    """On a 16-operand step total the kernel emits no jump pairs.
+
+    Its raw output holds one point at each distinct abscissa of the total
+    plus the points it inserts (zero crossings, catch-up points), all
+    strictly increasing: canonicalization would drop the second point of
+    every jump pair again.
+    """
+    total = sum_curves([
+        Curve.step_from_times(0.013 * j + np.arange(40.0), 0.05)
+        for j in range(16)
+    ])
+    grid = np.unique(total.breakpoints().x)
+    for mode in ("lower", "upper"):
+        xs = kernels.identity_minus(total, 0.0, mode)[0]
+        assert np.all(np.diff(xs) > 0.0)
+        assert np.isin(grid, xs).all()
+        assert xs.size > grid.size  # h crosses zero in the first burst
+        assert_matches(
+            identity_minus(total, mode=mode),
+            ref.identity_minus(ref.table(total), 0.0, mode),
+        )
 
 
 @st.composite
