@@ -6,10 +6,10 @@ admission-probability experiments repeat thousands of times.
 
 Standalone mode (``python benchmarks/bench_analysis.py --json``) instead
 benchmarks the *compaction layer* on a breakpoint-heavy bursty fixture:
-exact analysis vs ``compact_budget=64``, reporting median wall times,
-per-job bound loosening, breakpoint/cache statistics, and writing them
-into ``BENCH_analysis.json`` at the repository root for cross-PR
-tracking; the file's other sections are kept.
+exact analysis vs ``compact_budget=64``, run alternately, reporting
+median wall times, per-job bound loosening, breakpoint/cache statistics,
+and writing them into ``BENCH_analysis.json`` at the repository root for
+cross-PR tracking; the file's other sections are kept.
 """
 
 import argparse
@@ -111,37 +111,27 @@ def bursty_fixture(n_jobs: int = 16, n_inst: int = 2000,
     return system
 
 
-def _run_arm(system, method: str, options, repeats: int):
-    """Median-of-N analysis wall time plus metric/cache snapshots."""
+def _run_once(system, method: str, options):
+    """One analysis: wall time, bounds and metric/cache snapshots."""
     from repro.analysis.admission import make_analyzer
     from repro.curves.memo import curve_cache
     from repro.obs.metrics import metrics
 
-    times_s = []
-    wcrts = {}
-    stats = {}
-    for _ in range(repeats):
-        with curve_cache() as cache, metrics() as registry:
-            t0 = time.perf_counter()
-            result = make_analyzer(method, options=options).analyze(system)
-            times_s.append(time.perf_counter() - t0)
-            wcrts = {job_id: r.wcrt for job_id, r in result.jobs.items()}
-            gauges = registry.gauges.get("repro_curve_breakpoints", {})
-            stats = {
-                "cache": cache.stats().to_dict(),
-                "compactions": registry.counters.get(
-                    "repro_curve_compactions_total", {}
-                ),
-                "breakpoint_gauges": gauges,
-                "horizon": result.horizon,
-                "rounds": result.rounds,
-            }
-    return {
-        "median_s": statistics.median(times_s),
-        "times_s": times_s,
-        "wcrts": wcrts,
-        **stats,
-    }
+    with curve_cache() as cache, metrics() as registry:
+        t0 = time.perf_counter()
+        result = make_analyzer(method, options=options).analyze(system)
+        elapsed = time.perf_counter() - t0
+        gauges = registry.gauges.get("repro_curve_breakpoints", {})
+        return elapsed, {
+            "wcrts": {job_id: r.wcrt for job_id, r in result.jobs.items()},
+            "cache": cache.stats().to_dict(),
+            "compactions": registry.counters.get(
+                "repro_curve_compactions_total", {}
+            ),
+            "breakpoint_gauges": gauges,
+            "horizon": result.horizon,
+            "rounds": result.rounds,
+        }
 
 
 def run_compaction_benchmark(repeats: int = 3, budget: int = 64,
@@ -149,9 +139,22 @@ def run_compaction_benchmark(repeats: int = 3, budget: int = 64,
     from repro.analysis import AnalysisOptions
 
     system = bursty_fixture()
-    exact = _run_arm(system, method, None, repeats)
-    compacted = _run_arm(
-        system, method, AnalysisOptions(compact_budget=budget), repeats
+    arms = {"exact": None, "compacted": AnalysisOptions(compact_budget=budget)}
+    times_s = {name: [] for name in arms}
+    last = {}
+    # The arms alternate run by run (exact, compacted, exact, ...), so a
+    # slow phase of the machine weighs on both medians alike.
+    for _ in range(repeats):
+        for name, options in arms.items():
+            elapsed, last[name] = _run_once(system, method, options)
+            times_s[name].append(elapsed)
+    exact, compacted = (
+        {
+            "median_s": statistics.median(times_s[name]),
+            "times_s": times_s[name],
+            **last[name],
+        }
+        for name in arms
     )
 
     loosening = {}

@@ -13,9 +13,11 @@ paper's Section 2 lineage), exposed as standalone utilities:
   schedulability analysis").
 
 These operate on plain numbers (no curves), making them convenient for
-quick single-node what-if checks and for cross-validating the holistic
-baseline; :class:`repro.analysis.holistic.HolisticSPPAnalysis` is the
-distributed, jitter-propagating user of the same recurrences.
+quick single-node what-if checks.
+:class:`repro.analysis.holistic.HolisticSPPAnalysis` (SPP/S&L) computes
+every hop's response with :func:`response_time`, jitters propagated from
+the predecessor hops, so the distributed baseline and a single-node
+exactness check run one implementation of the recurrences.
 """
 
 from __future__ import annotations

@@ -330,8 +330,8 @@ class FixpointAnalysis:
         envelope is compacted upward and every min-count envelope
         downward before entering the hop-bound formulas, which can only
         loosen (never undercut) the departure bounds.  Also with
-        compaction enabled, ``options.warm_start`` seeds each doubled
-        horizon's ``late`` envelopes with the previous horizon's.  That is
+        compaction enabled, each doubled horizon's ``late`` envelopes are
+        seeded with the previous horizon's.  That is
         sound because every envelope value the iteration produces is
         itself a valid bound: a finite latest departure ``late_m <= h``
         proven for the ``h``-truncated system holds for any larger horizon
@@ -400,12 +400,7 @@ class FixpointAnalysis:
             p for p, pol in policies.items() if pol == SchedulingPolicy.FCFS
         )
         opts = self.options
-        warm = (
-            not self.single_pass
-            and opts is not None
-            and opts.warm_start
-            and opts.compaction_enabled
-        )
+        warm = not self.single_pass and opts is not None and opts.compaction_enabled
         # Warm-start carry: the previous (smaller) horizon's envelopes.
         carry: Optional[Dict[Key, np.ndarray]] = {} if warm else None
 

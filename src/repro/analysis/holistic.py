@@ -16,8 +16,9 @@ release):
   the nominal periodic release (Tindell & Clark's rule; it conservatively
   lets the successor be released anywhere in ``[nominal, nominal + R_j]``,
   one of the sources of pessimism the paper's Figure 3 exposes);
-* the hop response ``R_j`` is the classic jitter-aware busy-period bound:
-  for ``q = 0, 1, ...`` outstanding instances,
+* the hop response ``R_j`` is the classic jitter-aware busy-period bound
+  of :func:`repro.analysis.busy_period.response_time`: for
+  ``q = 0, 1, ...`` outstanding instances,
   ``w_q = (q+1) tau_j + sum_{hp} ceil((w_q + J_hp) / rho_hp) tau_hp``
   iterated to a fixed point, and
   ``R_j = max_q ( w_q + J_j - q rho )``;
@@ -38,6 +39,7 @@ from typing import Dict, Tuple
 from ..model.system import SchedulingPolicy, System
 from ..obs.trace import trace_span
 from .base import AnalysisError, AnalysisResult, EndToEndResult, SubjobResult
+from .busy_period import PeriodicTask, response_time
 from .spp_exact import _overloaded_result
 
 __all__ = ["HolisticSPPAnalysis"]
@@ -182,48 +184,21 @@ class HolisticSPPAnalysis:
         cutoff: float,
     ) -> float:
         """Jitter-aware busy-period response bound for one subjob."""
-        rho = period[sub.job_id]
-        j_self = jitter[sub.key]
-        if math.isinf(j_self):
-            return math.inf
         higher = [
             s
             for s in system.job_set.subjobs_on(sub.processor)
             if s.key != sub.key and s.priority < sub.priority
         ]
-        if any(math.isinf(jitter[s.key]) for s in higher):
+        if any(math.isinf(jitter[s.key]) for s in [sub, *higher]):
             return math.inf
-
-        def interference(w: float) -> float:
-            total = 0.0
-            for s in higher:
-                total += (
-                    math.ceil((w + jitter[s.key]) / period[s.job_id]) * s.wcet
-                )
-            return total
-
-        # Length of the level busy period (with jitter, counting self).
-        busy = sub.wcet
-        while True:
-            nxt = (
-                math.ceil((busy + j_self) / rho) * sub.wcet + interference(busy)
+        tasks = [
+            PeriodicTask(
+                name=f"{s.job_id}[{s.index}]",
+                wcet=s.wcet,
+                period=period[s.job_id],
+                priority=s.priority,
+                jitter=jitter[s.key],
             )
-            if nxt > cutoff:
-                return math.inf
-            if abs(nxt - busy) <= 1e-9:
-                break
-            busy = nxt
-        q_max = int(math.ceil((busy + j_self) / rho))
-
-        best = 0.0
-        for q in range(q_max):
-            w = (q + 1) * sub.wcet
-            while True:
-                nxt = (q + 1) * sub.wcet + interference(w)
-                if nxt > cutoff:
-                    return math.inf
-                if abs(nxt - w) <= 1e-9:
-                    break
-                w = nxt
-            best = max(best, w + j_self - q * rho)
-        return best
+            for s in [sub, *higher]
+        ]
+        return response_time(tasks, tasks[0], cutoff=cutoff)

@@ -12,6 +12,7 @@ from .checks import (
     VIOLATION_SCHEMA_VERSION,
     CrossValidation,
     Violation,
+    check_results,
     cross_validate,
     make_audit_analyzer,
     verify_trace_in_envelope,
@@ -51,6 +52,7 @@ __all__ = [
     "SystemAudit",
     "Violation",
     "audit_one",
+    "check_results",
     "clustered_trace",
     "cross_validate",
     "inject_release_jitter",

@@ -2,8 +2,12 @@
 
 The paper's central claim is an *ordering*: for every legal arrival
 pattern, the simulated (exact) behavior must stay on the safe side of the
-analytic bounds.  :func:`cross_validate` turns that claim into executable
-checks on one concrete system:
+analytic bounds.  :func:`check_results` turns that claim into executable
+checks on one concrete system and the analysis results a caller holds;
+it is the only place that compares a bound with a simulated response,
+and ``repro audit`` (through :func:`cross_validate`, which runs the
+analyses first), ``repro batch --audit``, ``repro validate`` and
+``repro report`` all call it:
 
 * **response bounds** -- every simulated end-to-end response of an
   analyzed instance is ``<=`` the method's worst-case bound (Theorems
@@ -25,18 +29,19 @@ of :mod:`repro.audit.faults`) feeds the counterexample shrinker.
 The simulation horizon is capped (``sim_cap``): checking a *prefix* of
 the analyzed instances is still a valid soundness check, and truncating
 later arrivals can only lower observed responses -- never manufacture a
-false violation.
+false violation.  Within the cap, each result is checked on every
+instance its bounds cover.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis import METHODS
+from ..analysis import METHODS, make_analyzer
 from ..analysis.base import AnalysisError, AnalysisResult, _json_float
 from ..analysis.hopbounds import apply_departure_floors
 from ..analysis.horizon import HorizonConfig
@@ -52,6 +57,7 @@ __all__ = [
     "VIOLATION_SCHEMA_VERSION",
     "Violation",
     "CrossValidation",
+    "check_results",
     "cross_validate",
     "make_audit_analyzer",
     "verify_trace_in_envelope",
@@ -72,6 +78,9 @@ _EXACT_HOP_METHODS = frozenset({"SPP/Exact"})
 #: simulated times accumulate independent float error; a violation must
 #: clear this margin to count.
 DEFAULT_TOL = 1e-6
+
+#: Default limit on the simulated window of :func:`check_results`.
+DEFAULT_SIM_CAP = 300.0
 
 
 @dataclass
@@ -130,10 +139,20 @@ class CrossValidation:
     skipped: Dict[str, str] = field(default_factory=dict)  #: method -> reason
     errors: Dict[str, str] = field(default_factory=dict)  #: method -> exception
     results: Dict[str, AnalysisResult] = field(default_factory=dict)
+    #: method -> job -> worst simulated end-to-end response compared with
+    #: the job's bound (0.0 when no instance of the job was compared).
+    worst: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def holds(self, method: str, job_id: str) -> bool:
+        """No violation names ``job_id`` under ``method`` or under no method."""
+        return not any(
+            v.job_id == job_id and v.method in (method, "")
+            for v in self.violations
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -150,22 +169,21 @@ def make_audit_analyzer(
     horizon: Optional[HorizonConfig] = None,
     options=None,
 ):
-    """Instantiate a method with per-hop artifacts retained when supported.
+    """:func:`~repro.analysis.make_analyzer`, with per-hop artifacts kept.
 
     The audit's hop-bracket checks need ``keep_curves=True``.  Every
     Theorem-4 method and SPP/Exact retain the envelopes they bracket;
     Stationary/NC keeps only its curves, and SPP/S&L has no such knob: it
-    is constructed plainly and contributes only end-to-end checks.
-    ``options`` threads
-    :class:`~repro.analysis.AnalysisOptions` through, so a campaign can
-    audit the *compacted* analysis pipeline: compaction only loosens
-    bounds, so every simulated response must still fall inside them.
+    contributes only end-to-end checks.  Retaining artifacts changes no
+    bound.  ``options`` threads :class:`~repro.analysis.AnalysisOptions`
+    through, so a campaign can audit the *compacted* analysis pipeline:
+    compaction only loosens bounds, so every simulated response must
+    still fall inside them.
     """
-    cls = METHODS[method]
-    try:
-        return cls(horizon, keep_curves=True, options=options)
-    except TypeError:
-        return cls(horizon, options=options)
+    analyzer = make_analyzer(method, horizon, options=options)
+    if hasattr(analyzer, "keep_curves"):
+        analyzer.keep_curves = True
+    return analyzer
 
 
 def verify_trace_in_envelope(
@@ -222,37 +240,28 @@ def _sim_system(system: System, policy: Optional[SchedulingPolicy]) -> System:
     return System(system.job_set, policy)
 
 
-def _report_window(analyzer, result: AnalysisResult) -> float:
-    """Length of the window whose instances the result's bounds cover."""
-    if not math.isfinite(result.horizon):
-        return math.inf
-    cfg = getattr(analyzer, "horizon", None)
-    fraction = getattr(cfg, "analyze_fraction", 1.0)
-    return result.horizon * fraction
-
-
 def _exceeds(observed: float, bound: float, tol: float) -> bool:
     return observed > bound + max(tol, tol * abs(bound))
 
 
 def _check_response_bounds(
-    method: str,
-    result: AnalysisResult,
-    sim,
-    horizon_free: bool,
-    out: CrossValidation,
-    tol: float,
+    result: AnalysisResult, sim, out: CrossValidation, tol: float
 ) -> None:
+    method = result.method
+    horizon_free = not math.isfinite(result.horizon)
+    worst = out.worst.setdefault(method, {})
     for job_id, er in result.jobs.items():
         trace = sim.jobs.get(job_id)
         if trace is None:
             continue
+        worst.setdefault(job_id, 0.0)
         for rec in trace.records:
             if not rec.finished:
                 continue
             if not horizon_free and rec.instance > er.n_instances:
                 continue
             out.n_checks += 1
+            worst[job_id] = max(worst[job_id], rec.response)
             if _exceeds(rec.response, er.wcrt, tol):
                 out.violations.append(
                     Violation(
@@ -271,13 +280,10 @@ def _check_response_bounds(
 
 
 def _check_hop_brackets(
-    method: str,
-    result: AnalysisResult,
-    sim,
-    out: CrossValidation,
-    tol: float,
+    result: AnalysisResult, sim, out: CrossValidation, tol: float
 ) -> None:
     """Per-hop bracket checks from the analyzer's own retained envelopes."""
+    method = result.method
     exact = method in _EXACT_HOP_METHODS
     for job_id, er in result.jobs.items():
         if not er.hops:
@@ -440,14 +446,14 @@ def cross_validate(
     system: System,
     methods: Sequence[str] = AUDIT_METHODS,
     horizon: Optional[HorizonConfig] = None,
-    sim_cap: float = 300.0,
+    sim_cap: float = DEFAULT_SIM_CAP,
     tol: float = DEFAULT_TOL,
     jitter_offsets: Optional[Dict[str, Any]] = None,
     analyzers: Optional[Dict[str, Any]] = None,
     check_envelopes: bool = True,
     options=None,
 ) -> CrossValidation:
-    """Audit one system: run analyses + simulations, assert the ordering.
+    """Audit one system: run the analyses, then :func:`check_results`.
 
     Parameters
     ----------
@@ -457,25 +463,15 @@ def cross_validate(
         Method names to audit (default: all registered methods).
     horizon:
         Optional :class:`HorizonConfig` applied to every analyzer.
-    sim_cap:
-        Upper limit on the simulated window.  A shorter simulation checks
-        a prefix of the analyzed instances -- sound, never a false
-        violation -- while keeping dense systems affordable.
-    tol:
-        Relative/absolute tolerance a violation must clear.
-    jitter_offsets:
-        Adversarial per-instance release offsets handed to the simulator
-        (see :func:`repro.sim.simulate`).
+    sim_cap, tol, jitter_offsets, check_envelopes:
+        Passed on to :func:`check_results`.
     analyzers:
         Per-method analyzer instance overrides -- the fault injector uses
         this to swap in a :class:`~repro.audit.faults.CorruptedAnalyzer`.
-    check_envelopes:
-        Also verify each job's release trace against its declared arrival
-        envelope.
     options:
         :class:`~repro.analysis.AnalysisOptions` applied to every
         analyzer (unless overridden via ``analyzers``); used to audit the
-        compacted/warm-started pipeline against simulation.
+        compacted pipeline against simulation.
 
     Methods that reject the system (``AnalysisError``: wrong policy mix,
     aperiodic jobs for the holistic baseline, jitter for the exact
@@ -485,18 +481,18 @@ def cross_validate(
     whole call.
     """
     out = CrossValidation()
+    analyzed = []
     with audit_checks():
-        instances: Dict[str, Any] = {}
         for method in methods:
             analyzer = (
                 analyzers[method]
                 if analyzers is not None and method in analyzers
                 else make_audit_analyzer(method, horizon, options=options)
             )
-            instances[method] = analyzer
             with trace_span("audit.method", method=method) as span:
                 try:
                     out.results[method] = analyzer.analyze(system)
+                    analyzed.append((analyzer, out.results[method]))
                     span.set_attrs(outcome="analyzed")
                 except AnalysisError as exc:
                     out.skipped[method] = str(exc)
@@ -504,20 +500,59 @@ def cross_validate(
                 except Exception as exc:  # noqa: BLE001 - audit must not die
                     out.errors[method] = f"{type(exc).__name__}: {exc}"
                     span.set_attrs(outcome="error")
+    return check_results(
+        system,
+        analyzed,
+        sim_cap=sim_cap,
+        tol=tol,
+        jitter_offsets=jitter_offsets,
+        check_envelopes=check_envelopes,
+        out=out,
+    )
 
-        # Group analyzed methods by the policy their bounds refer to; one
-        # simulation serves every method in a group.
-        groups: Dict[str, List[str]] = {}
-        for method, result in out.results.items():
-            key = _group_key(_effective_policy(instances[method]))
-            groups.setdefault(key, []).append(method)
 
-        for key, group_methods in groups.items():
-            windows = []
-            for method in group_methods:
-                r = _report_window(instances[method], out.results[method])
-                windows.append(sim_cap if math.isinf(r) else min(r, sim_cap))
-            window = max(windows)
+def check_results(
+    system: System,
+    analyzed: Sequence[Tuple[Any, AnalysisResult]],
+    sim_cap: Optional[float] = DEFAULT_SIM_CAP,
+    tol: float = DEFAULT_TOL,
+    jitter_offsets: Optional[Dict[str, Any]] = None,
+    check_envelopes: bool = True,
+    out: Optional[CrossValidation] = None,
+) -> CrossValidation:
+    """Compare analysis results a caller already holds with the simulator.
+
+    ``analyzed`` holds ``(analyzer, result)`` pairs; the analyzer's
+    ``policy`` says which schedule the result bounds.  Results that bound
+    the same schedule share one simulation, of every release up to the
+    largest analysis horizon among them, within ``sim_cap``; a
+    horizon-free result is bounded by ``sim_cap`` alone.  Each result is
+    compared on the instances its bounds cover (all simulated instances
+    when it is horizon-free), then the method-independent physical floors
+    and, with ``check_envelopes``, the release traces are checked.
+
+    ``sim_cap=None`` sets the cap to the largest of
+    :data:`DEFAULT_SIM_CAP` and every finite analysis horizon among the
+    results, so it cuts none.  Findings, the comparison count and the
+    worst simulated response compared with each method's bound per job
+    accumulate in ``out`` (a fresh :class:`CrossValidation` when
+    ``None``), which is returned.
+    """
+    out = out if out is not None else CrossValidation()
+    if sim_cap is None:
+        sim_cap = max(
+            [DEFAULT_SIM_CAP]
+            + [r.horizon for _, r in analyzed if math.isfinite(r.horizon)]
+        )
+    with audit_checks():
+        # One simulation serves every result bounding the same schedule.
+        groups: Dict[str, List[AnalysisResult]] = {}
+        for analyzer, result in analyzed:
+            key = _group_key(_effective_policy(analyzer))
+            groups.setdefault(key, []).append(result)
+
+        for key, results in groups.items():
+            window = max(min(r.horizon, sim_cap) for r in results)
             if window <= 0:
                 continue
             policy = None if key == "own" else SchedulingPolicy(key)
@@ -528,18 +563,14 @@ def cross_validate(
                     report_window=window,
                     jitter_offsets=jitter_offsets,
                 )
-            for method in group_methods:
-                result = out.results[method]
+            for result in results:
                 if not result.drained and not math.isinf(result.horizon):
                     out.skipped.setdefault(
-                        method, "analysis did not drain; bounds not final"
+                        result.method, "analysis did not drain; bounds not final"
                     )
                     continue
-                horizon_free = not math.isfinite(result.horizon)
-                _check_response_bounds(
-                    method, result, sim, horizon_free, out, tol
-                )
-                _check_hop_brackets(method, result, sim, out, tol)
+                _check_response_bounds(result, sim, out, tol)
+                _check_hop_brackets(result, sim, out, tol)
             _check_physical_floors(system, sim, out, tol)
 
         if check_envelopes:

@@ -78,7 +78,7 @@ class AuditConfig:
     shrink: bool = True  #: shrink violating systems to minimal repros
     shrink_evals: int = 150  #: predicate-evaluation budget per shrink
     artifact_dir: Optional[str] = None  #: where to save counterexamples
-    #: analysis options (compaction, warm start) threaded to every
+    #: analysis options (compaction) threaded to every
     #: analyzer -- audits the *perf-optimized* pipeline when set
     options: Optional[AnalysisOptions] = None
 

@@ -68,7 +68,7 @@ from ..analysis.base import AnalysisResult
 from ..analysis.horizon import HorizonConfig
 from ..analysis.options import AnalysisOptions
 from ..cache import DiskCacheStore, ResultCache, result_key
-from ..curves import memo
+from ..curves import audit_checks, memo
 from ..model.system import System
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
@@ -119,7 +119,7 @@ class BatchItem:
     method: str = "SPP/Exact"
     item_id: Optional[str] = None
     horizon: Optional[HorizonConfig] = None
-    #: Per-item analysis options (compaction, warm start); ``None`` falls
+    #: Per-item analysis options (compaction); ``None`` falls
     #: back to the engine-wide default passed to :class:`BatchEngine`.
     options: Optional[AnalysisOptions] = None
 
@@ -501,20 +501,24 @@ def _analyze_one(
                         work.injector.before_item(
                             item.item_id, work.attempt, _ItemTimeout
                         )
-                    result = make_analyzer(
-                        item.method, item.horizon, options=item.options
-                    ).analyze(item.system)
                     if work.audit:
-                        # Cross-validate this item's method against the
+                        # Check the item's own result against the
                         # simulator; findings ride along as structured
                         # violation records.
-                        from ..audit.checks import cross_validate
+                        from ..audit.checks import check_results, make_audit_analyzer
 
-                        outcome = cross_validate(
-                            item.system, methods=(item.method,), horizon=item.horizon
+                        analyzer = make_audit_analyzer(
+                            item.method, item.horizon, options=item.options
                         )
-                        audited = True
+                        with audit_checks():
+                            result = analyzer.analyze(item.system)
+                        outcome = check_results(item.system, [(analyzer, result)])
                         violations = [v.to_dict() for v in outcome.violations]
+                        audited = True
+                    else:
+                        result = make_analyzer(
+                            item.method, item.horizon, options=item.options
+                        ).analyze(item.system)
                 status = STATUS_OK
             except _ItemTimeout:
                 status = STATUS_TIMEOUT
@@ -688,12 +692,13 @@ class BatchEngine:
         (the default) touches no disk and is byte-identical to the
         pre-cache engine.
     audit:
-        Cross-validate every successfully analyzed item against the
-        simulator (:func:`repro.audit.checks.cross_validate`); findings
-        land in :attr:`ItemResult.violations` and in the JSONL records.
+        Analyze every item once with curve invariant checks on, then
+        check its result against the simulator
+        (:func:`repro.audit.checks.check_results`); findings land in
+        :attr:`ItemResult.violations` and in the JSONL records.
     options:
         Engine-wide default :class:`~repro.analysis.AnalysisOptions`
-        (compaction budget, warm start); an item's own ``options`` field
+        (compaction); an item's own ``options`` field
         takes precedence when set.
     retry:
         Optional :class:`~repro.batch.retry.RetryPolicy`.  ``None``

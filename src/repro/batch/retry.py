@@ -171,18 +171,16 @@ def degradation_rungs(
     rungs: List[Optional[AnalysisOptions]] = [base]
     opts = base if base is not None else AnalysisOptions()
 
-    # Rung 1: certified compaction, tighter than whatever is running.
-    if opts.compact_mode == "error" or opts.compact_budget is None:
+    # Rung 1: a certified breakpoint budget, tighter than whatever is
+    # running.
+    if opts.compact_budget is None:
         budget = DEGRADED_BUDGET
     else:
         budget = max(MIN_BUDGET, opts.compact_budget // 2)
-    if opts.compact_mode == "error" or budget != opts.compact_budget:
+    if budget != opts.compact_budget:
         rungs.append(
             dataclasses.replace(
-                opts,
-                compact_mode="budget",
-                compact_budget=budget,
-                compact_max_error=None,
+                opts, compact_budget=budget, compact_max_error=None
             )
         )
     return rungs

@@ -14,7 +14,9 @@ Commands
         python -m repro simulate system.json --horizon 200
 
 ``validate``
-    Analyze *and* simulate, reporting bound-vs-observed per job::
+    Analyze, then run the audit's soundness check on the result,
+    reporting each bound and the worst simulated response compared
+    with it::
 
         python -m repro validate system.json --method SPNP/App
 
@@ -70,7 +72,7 @@ cannot be read or parsed, or a system the method or the simulator
 refuses -- a cyclic system for a single-pass method, SPP/Exact on a
 non-SPP system, priorities missing or tied on a processor scheduled by
 priority); 3 for a soundness violation (``audit``, ``batch --audit``, and
-``validate`` when a simulated response exceeds its bound).
+``validate``, which all run :func:`repro.audit.checks.check_results`).
 
 ``analyze`` and ``validate`` accept ``--json`` to emit the stable
 machine-readable result schema documented in ``docs/api.md`` instead of
@@ -142,13 +144,6 @@ def _add_compact_args(p: argparse.ArgumentParser) -> None:
         "work units instead of a breakpoint budget",
     )
     p.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        dest="no_warm_start",
-        help="disable horizon warm-starting in the fixpoint analysis "
-        "(only relevant with --compact-budget/--compact-max-error)",
-    )
-    p.add_argument(
         "--convergence",
         action="store_true",
         dest="convergence",
@@ -175,13 +170,11 @@ def _options_from_args(args) -> Optional[AnalysisOptions]:
     """
     budget = getattr(args, "compact_budget", None)
     max_error = getattr(args, "compact_max_error", None)
-    no_warm = getattr(args, "no_warm_start", False)
     convergence = getattr(args, "convergence", False)
     cache_size = getattr(args, "cache_size", None)
     if (
         budget is None
         and max_error is None
-        and not no_warm
         and not convergence
         and cache_size is None
     ):
@@ -189,9 +182,7 @@ def _options_from_args(args) -> Optional[AnalysisOptions]:
     try:
         return AnalysisOptions(
             compact_budget=budget,
-            compact_mode="error" if max_error is not None else "budget",
             compact_max_error=max_error,
-            warm_start=not no_warm,
             convergence=convergence,
             cache_size=cache_size,
         )
@@ -760,9 +751,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .audit.checks import check_results, make_audit_analyzer
+
     system = _load_system(args.system)
     options = _options_from_args(args)
-    result = make_analyzer(args.method, options=options).analyze(system)
+    analyzer = make_audit_analyzer(args.method, options=options)
+    result = analyzer.analyze(system)
     if not args.json:
         print(result.summary())
     if not result.drained:
@@ -771,16 +765,14 @@ def _cmd_validate(args) -> int:
         else:
             print("analysis did not drain; skipping simulation comparison")
         return 1
-    rep = result.horizon / 2
-    sim = run_simulation(system, horizon=result.horizon, report_window=rep)
-    ok = True
+    check = check_results(system, [(analyzer, result)], sim_cap=None)
+    worst = check.worst.get(result.method, {})
     comparison = {}
     for job_id, er in sorted(result.jobs.items()):
-        observed = sim.jobs[job_id].max_response(rep)
-        holds = observed <= er.wcrt + 1e-9
-        ok = ok and holds
+        observed = worst.get(job_id, 0.0)
+        holds = check.holds(result.method, job_id)
         comparison[job_id] = {
-            "bound": er.wcrt,
+            "bound": er.wcrt if math.isfinite(er.wcrt) else None,
             "observed": observed,
             "bound_holds": holds,
         }
@@ -792,10 +784,10 @@ def _cmd_validate(args) -> int:
     if args.json:
         payload = {
             "analysis": result.to_dict(),
-            "simulation": {"jobs": comparison, "all_bounds_hold": ok},
+            "simulation": {"jobs": comparison, "all_bounds_hold": check.ok},
         }
         print(json.dumps(payload, indent=2, allow_nan=False))
-    return 0 if ok else 3
+    return 0 if check.ok else 3
 
 
 def _cmd_figures(args) -> int:
@@ -997,8 +989,8 @@ def _cmd_report(args) -> int:
 
     system = _load_system(args.system)
     if not args.no_simulate:
-        # The cross-check simulates the system under its own policies;
-        # refuse it up front rather than after the analyses.
+        # Refuse priorities the cross-check's simulation cannot run with
+        # up front rather than after the analyses.
         system.validate()
     print(
         analysis_report(

@@ -2,9 +2,10 @@
 
 :func:`analysis_report` runs several analysis methods on one system and
 renders a self-contained markdown document: system inventory, per-method
-response-time bounds, per-hop breakdowns, and (optionally) a simulation
-cross-check.  Used by ``python -m repro report`` and handy for attaching
-to design reviews.
+response-time bounds, verdicts, and (optionally) a simulation
+cross-check taken from the audit's soundness check
+(:func:`repro.audit.checks.check_results`).  Used by
+``python -m repro report`` and handy for attaching to design reviews.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from ..analysis import make_analyzer
 from ..analysis.horizon import HorizonConfig
 from ..model.system import System
-from ..sim import simulate
 
 __all__ = ["analysis_report"]
 
@@ -36,6 +35,10 @@ def analysis_report(
     title: str = "Response-time analysis report",
 ) -> str:
     """Render a markdown report for the system under the given methods."""
+    # Imported here: the audit package adds its modules to every import
+    # of ``repro.experiments``.
+    from ..audit.checks import check_results, make_audit_analyzer
+
     lines: List[str] = [f"# {title}", ""]
 
     # --- system inventory -------------------------------------------------
@@ -68,10 +71,12 @@ def analysis_report(
     lines += ["## Worst-case end-to-end response-time bounds", ""]
     header = "| job | deadline |" + "".join(f" {m} |" for m in methods)
     lines += [header, "|---|---|" + "---|" * len(methods)]
+    analyzers = {}
     results = {}
     for m in methods:
         try:
-            results[m] = make_analyzer(m, horizon).analyze(system)
+            analyzers[m] = make_audit_analyzer(m, horizon)
+            results[m] = analyzers[m].analyze(system)
         except Exception as exc:  # noqa: BLE001 - report the failure inline
             results[m] = exc
     for job in system.jobs:
@@ -105,30 +110,31 @@ def analysis_report(
     lines.append("")
 
     # --- simulation cross-check ---------------------------------------------
-    if simulate_check:
-        base = next(
-            (r for r in results.values() if not isinstance(r, Exception)), None
-        )
-        if base is not None and math.isfinite(base.horizon):
-            rep = base.horizon / 2
-            sim = simulate(system, horizon=base.horizon, report_window=rep)
-            lines += ["## Simulation cross-check", ""]
-            lines += [
-                "| job | simulated worst |"
-                + "".join(f" {m} bound |" for m in methods),
-                "|---|---|" + "---|" * len(methods),
-            ]
-            for job in system.jobs:
-                observed = sim.jobs[job.job_id].max_response(rep)
-                row = f"| {job.job_id} | {_fmt(observed)} |"
-                for m in methods:
-                    res = results[m]
-                    if isinstance(res, Exception):
-                        row += " n/a |"
-                    else:
-                        b = res.jobs[job.job_id].wcrt
-                        ok = observed <= b + 1e-9
-                        row += f" {_fmt(b)} {'ok' if ok else 'VIOLATION'} |"
-                lines.append(row)
-            lines.append("")
+    analyzed = [
+        (analyzers[m], res)
+        for m, res in results.items()
+        if not isinstance(res, Exception)
+    ]
+    if simulate_check and analyzed:
+        check = check_results(system, analyzed, sim_cap=None)
+        lines += ["## Simulation cross-check", ""]
+        lines += [
+            "Each cell: the bound vs the worst simulated response "
+            "compared with it, then the verdict.",
+            "",
+            "| job |" + "".join(f" {m} |" for m in methods),
+            "|---|" + "---|" * len(methods),
+        ]
+        for job in system.jobs:
+            row = f"| {job.job_id} |"
+            for m in methods:
+                worst = check.worst.get(m, {})
+                if job.job_id not in worst:
+                    row += " n/a |"
+                    continue
+                b = results[m].jobs[job.job_id].wcrt
+                verdict = "ok" if check.holds(m, job.job_id) else "VIOLATION"
+                row += f" {_fmt(b)} vs {_fmt(worst[job.job_id])} {verdict} |"
+            lines.append(row)
+        lines.append("")
     return "\n".join(lines)

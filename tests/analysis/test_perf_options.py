@@ -15,6 +15,8 @@ import pytest
 from repro.analysis import AnalysisOptions
 from repro.analysis.admission import make_analyzer
 from repro.analysis.fixpoint import FixpointAnalysis
+from repro.curves import Curve
+from repro.curves.compact import max_deviation
 from repro.model import (
     Job,
     JobSet,
@@ -106,8 +108,8 @@ def payload(result):
 
 
 def test_warm_start_matches_cold_start():
-    # AnalysisOptions() asks for warm starts, but without compaction no
-    # horizon is seeded: every method's payload is that of options=None.
+    # Only compaction seeds a horizon from the previous one, so
+    # AnalysisOptions() gives every method the payload of options=None.
     for method in THEOREM4_METHODS:
         systems = [bursty_system(n_jobs=4, n_inst=100)]
         if method == "Fixpoint/App":
@@ -198,23 +200,29 @@ def test_exact_analysis_reports_compaction_ignored():
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        AnalysisOptions(compact_mode="fuzzy")
-    with pytest.raises(ValueError):
         AnalysisOptions(compact_budget=2)
     with pytest.raises(ValueError):
-        AnalysisOptions(compact_mode="error")
-    with pytest.raises(ValueError):
-        AnalysisOptions(compact_mode="error", compact_max_error=-1.0)
+        AnalysisOptions(compact_max_error=-1.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="compact_max_error"):
-            AnalysisOptions(compact_mode="error", compact_max_error=bad)
         with pytest.raises(ValueError, match="compact_max_error"):
             AnalysisOptions(compact_max_error=bad)
     assert not AnalysisOptions().compaction_enabled
     assert AnalysisOptions(compact_budget=64).compaction_enabled
-    assert AnalysisOptions(
-        compact_mode="error", compact_max_error=0.5
-    ).compaction_enabled
+    assert AnalysisOptions(compact_max_error=0.5).compaction_enabled
+
+
+def test_both_compaction_values_are_refused():
+    with pytest.raises(ValueError, match="at most one"):
+        AnalysisOptions(compact_budget=64, compact_max_error=0.1)
+
+
+def test_max_error_alone_compacts():
+    # The mode follows from the value that is set: a certified error bound
+    # alone compacts, within that error.
+    curve = Curve.step_from_times(np.cumsum(np.full(400, 0.25)), 0.01)
+    capped = AnalysisOptions(compact_max_error=0.1).cap_upper(curve)
+    assert capped.n_breakpoints < curve.n_breakpoints / 5
+    assert max_deviation(capped, curve, curve.x_end + 1.0) <= 0.1 + 1e-9
 
 
 def test_make_analyzer_threads_options():

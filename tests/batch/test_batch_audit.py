@@ -2,9 +2,14 @@
 
 import json
 
-import pytest
-
-from repro.audit import CorruptedAnalyzer, Violation, cross_validate, make_audit_analyzer
+from repro.analysis import AnalysisOptions
+from repro.audit import (
+    CorruptedAnalyzer,
+    Violation,
+    checks,
+    cross_validate,
+    make_audit_analyzer,
+)
 from repro.batch import BatchEngine, BatchItem
 from repro.model import (
     JobSet,
@@ -36,6 +41,30 @@ def test_audited_item_carries_violation_field():
     assert rec.audited
     assert rec.violations == []  # sound analysis, clean system
     assert report.n_violations == 0
+
+
+def test_audited_item_is_analyzed_once_with_its_options(monkeypatch):
+    from repro.obs.trace import tracing
+
+    seen = []
+    clean = checks.make_audit_analyzer
+
+    def spy(method, horizon=None, options=None):
+        seen.append(options)
+        return clean(method, horizon, options=options)
+
+    monkeypatch.setattr(checks, "make_audit_analyzer", spy)
+    opts = AnalysisOptions(compact_budget=16)
+    items = [
+        BatchItem(_system(), method="SPNP/App", item_id="a", options=opts),
+        BatchItem(_system(), method="SPP/App", item_id="b"),
+    ]
+    with tracing() as collector:
+        report = BatchEngine(audit=True).run(items)
+    assert [(r.ok, r.violations) for r in report] == [(True, []), (True, [])]
+    # The result the record carries is the one that was checked.
+    assert sum(1 for span in collector.spans if span.name == "analyze") == 2
+    assert seen == [opts, None]
 
 
 def test_unaudited_record_schema_is_unchanged():

@@ -108,7 +108,7 @@ class TestDegradationLadder:
     def test_default_ladder(self):
         rungs = degradation_rungs(None)
         assert rungs[0] is None
-        assert rungs[1].compact_mode == "budget"
+        assert rungs[1].compact_max_error is None
         assert rungs[1].compact_budget == DEGRADED_BUDGET
         assert len(rungs) == 2
 

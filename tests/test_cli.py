@@ -1,10 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import METHODS
 from repro.cli import build_parser, main
+
+QUICKSTART = (
+    Path(__file__).resolve().parents[1] / "examples" / "systems" / "quickstart.json"
+)
 
 SYSTEM = {
     "policies": {"cpu": "spp"},
@@ -111,6 +117,78 @@ class TestJsonOutput:
             assert row["bound_holds"] is True
             assert row["observed"] <= row["bound"] + 1e-9
             assert job_id in payload["analysis"]["jobs"]
+
+
+class TestSharedSoundnessCheck:
+    """``validate`` and ``report`` run the audit's soundness check."""
+
+    #: One SPP processor: FCFS would serve B first, SPP serves A first.
+    FCFS_VS_SPP = {
+        "policies": {"P1": "spp"},
+        "priority_assignment": "explicit",
+        "jobs": [
+            {"id": "A", "deadline": 20.0,
+             "arrivals": {"type": "periodic", "period": 10.0, "offset": 0.5},
+             "route": [["P1", 5.0, 1]]},
+            {"id": "B", "deadline": 20.0,
+             "arrivals": {"type": "periodic", "period": 10.0, "offset": 0.0},
+             "route": [["P1", 1.0, 2]]},
+        ],
+    }
+
+    @pytest.fixture()
+    def fcfs_vs_spp(self, tmp_path):
+        path = tmp_path / "fcfs_vs_spp.json"
+        path.write_text(json.dumps(self.FCFS_VS_SPP))
+        return str(path)
+
+    def test_validate_checks_a_forced_policy_against_its_own_schedule(
+        self, fcfs_vs_spp, capsys
+    ):
+        assert main(["validate", fcfs_vs_spp, "--method", "FCFS/App"]) == 0
+        out = capsys.readouterr().out
+        assert "VIOLATION" not in out
+        assert "B: bound 1 vs simulated 1 [ok]" in out
+
+    def test_report_checks_a_forced_policy_against_its_own_schedule(
+        self, fcfs_vs_spp, capsys
+    ):
+        assert main(["report", fcfs_vs_spp, "--method", "FCFS/App"]) == 0
+        out = capsys.readouterr().out
+        assert "## Simulation cross-check" in out
+        assert "VIOLATION" not in out
+        assert "| B | 1 vs 1 ok |" in out
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_validate_runs_every_method(self, method, capsys):
+        code = main(["validate", str(QUICKSTART), "--method", method])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert "Traceback" not in err and "[ok]" in out
+
+    def test_validate_json_of_an_unbounded_horizon_free_bound(
+        self, tmp_path, capsys
+    ):
+        data = json.loads(json.dumps(self.FCFS_VS_SPP))
+        data["jobs"][0]["route"][0][1] = 9.5  # P1 overloaded: B unbounded
+        path = tmp_path / "overloaded.json"
+        path.write_text(json.dumps(data))
+        argv = ["validate", str(path), "--method", "Stationary/NC", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["analysis"]["jobs"]["B"]["wcrt"] is None
+        assert payload["simulation"]["jobs"]["B"]["bound"] is None
+        assert payload["simulation"]["all_bounds_hold"] is True
+
+    def test_report_cross_checks_a_horizon_free_first_method(
+        self, fcfs_vs_spp, capsys
+    ):
+        argv = ["report", fcfs_vs_spp,
+                "--method", "Stationary/NC", "--method", "SPP/Exact"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "## Simulation cross-check" in out
+        assert "| A | 5 vs 5 ok | 5 vs 5 ok |" in out
 
 
 class TestBatchCommand:
@@ -451,33 +529,26 @@ class TestSystemFileErrors:
 class TestViolationExitStatus:
     """A soundness violation exits 3, apart from usage errors (2)."""
 
-    def test_validate_violation_exits_3(self, system_file, capsys, monkeypatch):
-        from repro import cli
-        from repro.analysis import make_analyzer
-        from repro.audit import CorruptedAnalyzer
+    @staticmethod
+    def _corrupt_audit_analyzers(monkeypatch):
+        """Halve every bound the soundness check is handed."""
+        from repro.audit import CorruptedAnalyzer, checks
 
+        clean = checks.make_audit_analyzer
         monkeypatch.setattr(
-            cli, "make_analyzer",
-            lambda method, options=None: CorruptedAnalyzer(
-                make_analyzer(method, options=options), factor=0.5
+            checks, "make_audit_analyzer",
+            lambda method, horizon=None, options=None: CorruptedAnalyzer(
+                clean(method, horizon, options=options), factor=0.5
             ),
         )
+
+    def test_validate_violation_exits_3(self, system_file, capsys, monkeypatch):
+        self._corrupt_audit_analyzers(monkeypatch)
         assert main(["validate", system_file, "--method", "SPP/Exact"]) == 3
         assert "VIOLATION" in capsys.readouterr().out
 
     def test_batch_audit_violation_exits_3(self, tmp_path, capsys, monkeypatch):
-        from repro.audit import CorruptedAnalyzer, checks, make_audit_analyzer
-
-        clean = checks.cross_validate
-
-        def corrupted(system, methods, **kwargs):
-            analyzers = {
-                m: CorruptedAnalyzer(make_audit_analyzer(m), factor=0.5)
-                for m in methods
-            }
-            return clean(system, methods=methods, analyzers=analyzers, **kwargs)
-
-        monkeypatch.setattr(checks, "cross_validate", corrupted)
+        self._corrupt_audit_analyzers(monkeypatch)
         path = tmp_path / "items.jsonl"
         path.write_text(json.dumps({"id": "x", "system": SYSTEM}) + "\n")
         assert main(["batch", str(path), "--audit", "--no-cache"]) == 3
