@@ -66,7 +66,7 @@ from .hopbounds import (
     priority_departure_bound,
     visible_step,
 )
-from .horizon import HorizonConfig, run_adaptive
+from .horizon import UTILIZATION_GUARD, HorizonConfig, run_adaptive
 from .options import AnalysisOptions
 from .spp_exact import _overloaded_result
 
@@ -384,7 +384,7 @@ class FixpointAnalysis:
     def analyze(self, system: System) -> AnalysisResult:
         """Compute per-hop summed response-time bounds (Theorem 4)."""
         system.validate(self.force_policy)
-        if system.max_utilization() > self.horizon.utilization_guard:
+        if system.max_utilization() > UTILIZATION_GUARD:
             return _overloaded_result(system, self.method)
         try:
             order = dependency_order(system, for_envelopes=True)

@@ -40,6 +40,7 @@ from ..model.system import SchedulingPolicy, System
 from ..obs.trace import trace_span
 from .base import AnalysisError, AnalysisResult, EndToEndResult, SubjobResult
 from .busy_period import PeriodicTask, response_time
+from .horizon import UTILIZATION_GUARD
 from .spp_exact import _overloaded_result
 
 __all__ = ["HolisticSPPAnalysis"]
@@ -99,7 +100,7 @@ class HolisticSPPAnalysis:
                     f"{job.job_id} is not (the paper's Figure 4 omits SPP/S&L "
                     f"for this reason)"
                 )
-        if system.max_utilization() > 1.0 - 1e-9:
+        if system.max_utilization() > UTILIZATION_GUARD:
             return _overloaded_result(system, self.method)
 
         period: Dict[str, float] = {

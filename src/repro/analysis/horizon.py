@@ -6,7 +6,7 @@ service before ``H``, so every completion bound that lands inside the
 horizon is final.  The driver below grows ``H`` geometrically until
 
 1. every *analyzed* instance (released within the report window
-   ``[0, H * analyze_fraction]``) provably completes within ``H``, and
+   ``[0, H * ANALYZE_FRACTION]``) provably completes within ``H``, and
 2. the per-job bounds are stable under one further doubling
    (``require_convergence``), guarding against a later instance being the
    worst one.
@@ -36,19 +36,23 @@ from .base import AnalysisResult
 
 __all__ = ["HorizonConfig", "initial_horizon", "run_adaptive"]
 
+#: Geometric growth factor of the horizon from one round to the next.
+GROWTH = 2.0
+#: Report window as a fraction of the horizon.
+ANALYZE_FRACTION = 0.5
+#: Relative tolerance under which two rounds' bounds count as stable.
+REL_TOL = 1e-9
+#: A processor loaded beyond this long-run utilization is overloaded.
+UTILIZATION_GUARD = 1.0 - 1e-9
+
 
 @dataclass(frozen=True)
 class HorizonConfig:
     """Tuning of the adaptive horizon driver."""
 
     initial: Optional[float] = None  #: starting horizon; auto-derived if None
-    growth: float = 2.0  #: geometric growth factor
     max_rounds: int = 12  #: maximum number of growth steps
-    analyze_fraction: float = 0.5  #: report window fraction of the horizon
     require_convergence: bool = True  #: demand bound stability across rounds
-    rel_tol: float = 1e-9  #: relative tolerance for bound stability
-    utilization_guard: float = 1.0 - 1e-9  #: reject if a processor is loaded beyond this
-    watchdog: bool = True  #: bail early on detected divergence/oscillation
 
     def __post_init__(self) -> None:
         if self.initial is not None and not (
@@ -57,16 +61,8 @@ class HorizonConfig:
             raise ValueError(
                 f"initial must be finite and positive, got {self.initial}"
             )
-        if not (math.isfinite(self.growth) and self.growth > 1.0):
-            raise ValueError(f"growth must be finite and exceed 1, got {self.growth}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
-        if not (0.0 < self.analyze_fraction <= 1.0):
-            raise ValueError("analyze_fraction must be in (0, 1]")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
-            raise ValueError(
-                f"rel_tol must be finite and non-negative, got {self.rel_tol}"
-            )
 
 
 #: Consecutive bound-tracks-horizon rounds before the watchdog calls it
@@ -93,9 +89,7 @@ def initial_horizon(job_set: JobSet) -> float:
     return 4.0 * max(spans)
 
 
-def _stable(
-    prev: Dict[str, float], cur: Dict[str, float], rel_tol: float
-) -> bool:
+def _stable(prev: Dict[str, float], cur: Dict[str, float]) -> bool:
     for job_id, v in cur.items():
         p = prev.get(job_id)
         if p is None:
@@ -105,21 +99,19 @@ def _stable(
         if math.isinf(v) or math.isinf(p):
             return False
         scale = max(abs(v), abs(p), 1.0)
-        if abs(v - p) > rel_tol * scale:
+        if abs(v - p) > REL_TOL * scale:
             return False
     return True
 
 
-def _growth_tracks_horizon(
-    prev: Dict[str, float], cur: Dict[str, float], growth: float
-) -> bool:
+def _growth_tracks_horizon(prev: Dict[str, float], cur: Dict[str, float]) -> bool:
     """True if some job's bound grew almost as fast as the horizon did.
 
     A bound that keeps pace with geometric horizon growth is the signature
     of divergence: each doubling reveals a proportionally worse instance, so
     waiting for stability is hopeless.
     """
-    threshold = _DIVERGENCE_TRACK * growth
+    threshold = _DIVERGENCE_TRACK * GROWTH
     for job_id, v in cur.items():
         p = prev.get(job_id)
         if p is None or not math.isfinite(p) or not math.isfinite(v) or p <= 0:
@@ -142,9 +134,8 @@ def run_adaptive(
     horizons only confirm misses: per-hop maxima are taken over a superset
     of instances) or stable against the previous ``ok`` run.
 
-    With ``config.watchdog`` enabled (the default), the driver also
-    recognizes two non-converging shapes early instead of silently burning
-    the full round budget:
+    A watchdog also recognizes two non-converging shapes early instead of
+    silently burning the full round budget:
 
     * **divergence** -- the per-job bounds keep growing in lockstep with the
       horizon for several consecutive drained rounds (the signature of a
@@ -204,7 +195,7 @@ def _run_adaptive(
     diverging_rounds = 0
     last_result: Optional[AnalysisResult] = None
     for round_idx in range(config.max_rounds):
-        report = h * config.analyze_fraction
+        report = h * ANALYZE_FRACTION
         with trace_span("horizon.round", round=round_idx + 1, horizon=h) as span:
             result, ok = analyze_once(h, report)
             span.set_attrs(drained=ok)
@@ -220,14 +211,12 @@ def _run_adaptive(
             if not config.require_convergence:
                 result.converged = True
                 return result
-            if prev_bounds is not None and _stable(
-                prev_bounds, bounds, config.rel_tol
-            ):
+            if prev_bounds is not None and _stable(prev_bounds, bounds):
                 result.converged = True
                 return result
-            if config.watchdog and bounds:
+            if bounds:
                 if prev_bounds is not None and _growth_tracks_horizon(
-                    prev_bounds, bounds, config.growth
+                    prev_bounds, bounds
                 ):
                     diverging_rounds += 1
                 else:
@@ -241,7 +230,7 @@ def _run_adaptive(
                             "round": round_idx + 1,
                             "horizon": h,
                             "detail": (
-                                f"bounds tracked horizon growth (x{config.growth:g}) "
+                                f"bounds tracked horizon growth (x{GROWTH:g}) "
                                 f"for {diverging_rounds} consecutive drained rounds"
                             ),
                         }
@@ -249,9 +238,9 @@ def _run_adaptive(
                     return result
                 if (
                     prev_prev_bounds is not None
-                    and _stable(prev_prev_bounds, bounds, config.rel_tol)
+                    and _stable(prev_prev_bounds, bounds)
                     and prev_bounds is not None
-                    and not _stable(prev_bounds, bounds, config.rel_tol)
+                    and not _stable(prev_bounds, bounds)
                 ):
                     result.converged = False
                     result.diagnostics.append(
@@ -273,7 +262,7 @@ def _run_adaptive(
             prev_bounds = None
             prev_prev_bounds = None
             diverging_rounds = 0
-        h *= config.growth
+        h *= GROWTH
     assert last_result is not None
     last_result.converged = False
     last_result.diagnostics.append(
@@ -281,7 +270,7 @@ def _run_adaptive(
             "kind": "round_budget_exhausted",
             "source": "run_adaptive",
             "round": config.max_rounds,
-            "horizon": h / config.growth,
+            "horizon": h / GROWTH,
             "detail": (
                 f"no stable drained result within {config.max_rounds} rounds"
             ),

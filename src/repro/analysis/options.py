@@ -1,11 +1,10 @@
 """Cross-analyzer performance options.
 
 :class:`AnalysisOptions` bundles the knobs of the performance layer --
-sound curve compaction (:mod:`repro.curves.compact`), convergence
-telemetry and the curve-cache capacity -- so they can be threaded
-uniformly through :func:`~repro.analysis.admission.make_analyzer`, the
-batch engine, and the CLI without changing any analyzer's positional
-signature.
+sound curve compaction (:mod:`repro.curves.compact`) and convergence
+telemetry -- so they can be threaded uniformly through
+:func:`~repro.analysis.admission.make_analyzer`, the batch engine, and
+the CLI without changing any analyzer's positional signature.
 
 The default for every analyzer is ``options=None``: no compaction.
 ``AnalysisOptions()`` gives the same bounds bit for bit; setting
@@ -46,12 +45,6 @@ class AnalysisOptions:
     #: result field are unchanged, and the flag is excluded from journal
     #: item digests.
     convergence: bool = False
-    #: In-process curve-cache capacity (entries before LRU eviction).
-    #: ``None`` keeps :data:`repro.curves.memo.DEFAULT_CACHE_SIZE`.
-    #: Performance-only -- memoized values are exact, so capacity never
-    #: changes a bound -- and therefore excluded from journal item
-    #: digests, like ``convergence``.
-    cache_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.compact_budget is not None and self.compact_max_error is not None:
@@ -69,10 +62,6 @@ class AnalysisOptions:
             raise ValueError(
                 f"compact_max_error must be finite and positive, "
                 f"got {self.compact_max_error}"
-            )
-        if self.cache_size is not None and self.cache_size <= 0:
-            raise ValueError(
-                f"cache_size must be positive, got {self.cache_size}"
             )
 
     @property

@@ -38,7 +38,7 @@ from .base import (
     SubjobResult,
     dependency_order,
 )
-from .horizon import HorizonConfig, run_adaptive
+from .horizon import UTILIZATION_GUARD, HorizonConfig, run_adaptive
 from .options import AnalysisOptions
 
 __all__ = ["SppExactAnalysis"]
@@ -117,7 +117,7 @@ class SppExactAnalysis:
                 f"{jittered} carry release jitter -- use the approximate "
                 f"pipeline (SPP/App) or the holistic baseline instead"
             )
-        if system.max_utilization() > self.horizon.utilization_guard:
+        if system.max_utilization() > UTILIZATION_GUARD:
             return _overloaded_result(system, self.method)
         order = dependency_order(system)  # raises on cycles
 

@@ -196,7 +196,7 @@ class StationaryAnalysis:
                         )
                     )
             result.jobs[job.job_id] = res
-        result.drained = all(
-            math.isfinite(r.wcrt) for r in result.jobs.values()
-        ) or result.drained
+        # A divergent hop leaves an infinite bound: not drained, as for
+        # SPP/S&L, so the verdict and ``validate`` treat it as unbounded.
+        result.drained = all(math.isfinite(r.wcrt) for r in result.jobs.values())
         return result

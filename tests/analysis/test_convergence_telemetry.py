@@ -111,7 +111,12 @@ class TestDigestStability:
         teled = item_digest(sys_, method="Fixpoint/App", options=OPTS)
         # telemetry-only knob: old journals stay resumable
         assert teled == defaults
-        assert base != defaults  # options-present digests still differ
+        # options without compaction give the bounds of no options
+        assert base == defaults
+        compacted = item_digest(
+            sys_, method="Fixpoint/App", options=AnalysisOptions(compact_budget=16)
+        )
+        assert compacted != base
 
 
 class TestFixpointMetrics:

@@ -121,9 +121,7 @@ def test_warm_start_matches_cold_start():
 
 
 @pytest.mark.parametrize(
-    "opts",
-    [AnalysisOptions(cache_size=64), AnalysisOptions(convergence=True)],
-    ids=["cache_size", "convergence"],
+    "opts", [AnalysisOptions(convergence=True)], ids=["convergence"]
 )
 def test_speed_and_telemetry_options_keep_fixpoint_bounds(opts):
     sys_ = system_from_dict(json.loads(json.dumps(S0043_B2U3)))

@@ -128,16 +128,6 @@ def test_watchdog_flags_divergence():
     assert result.diagnostics[0]["round"] < cfg.max_rounds
 
 
-def test_watchdog_can_be_disabled():
-    def analyze_once(h, report):
-        return _result(h, h), True
-
-    cfg = HorizonConfig(initial=8.0, max_rounds=5, watchdog=False)
-    result = run_adaptive(analyze_once, _job_set(), cfg)
-    assert not result.converged
-    assert [d["kind"] for d in result.diagnostics] == ["round_budget_exhausted"]
-
-
 def test_round_budget_exhausted_diagnostic():
     def analyze_once(h, report):
         return _result(h, 1.0), False  # never drains
