@@ -278,4 +278,6 @@ class TestEndToEnd:
         with open(items, "w", encoding="utf-8") as fh:
             for entry in generate_campaign(2, seed=1):
                 fh.write(json.dumps(entry) + "\n")
-        assert main(["batch", str(items), "--shard-count", "2"]) != 0
+        assert main(["batch", str(items), "--shard-count", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --shard-count/--shard-manifest require --shard-index\n"

@@ -265,3 +265,24 @@ class TestEndToEnd:
             if "cache_tampered" in s
         ]
         assert tampered and tampered[0] > 0
+
+
+class TestVerification:
+    def test_unreadable_final_journal_is_a_failed_check(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A final child that exits 0 but leaves no journal behind: the
+        # verification cannot read it, which fails the check (exit 1)
+        # rather than being reported as a usage error (exit 2).
+        from repro.chaos import harness
+        from repro.cli import main
+
+        monkeypatch.setattr(harness, "_run_child", lambda *args: (0, ""))
+        argv = ["chaos", "--items", "2", "--workers", "0", "--kill-points", "1",
+                "--tamper", "none", "--journal", str(tmp_path / "chaos.wal"),
+                "--json", str(tmp_path / "report.json")]
+        assert main(argv) == 1
+        assert "chaos: FAIL" in capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["ok"] is False
+        assert report["errors"][0].startswith("final journal unreadable: ")
