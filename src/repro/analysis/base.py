@@ -84,7 +84,7 @@ class CyclicDependencyError(AnalysisError):
         super().__init__(
             "cyclic subjob dependencies "
             + " -> ".join(map(str, self.cycle))
-            + "; use FixpointAnalysis for systems with loops"
+            + "; use Fixpoint/App for systems with loops"
         )
 
 
@@ -154,7 +154,7 @@ class AnalysisResult:
     #: ``repro trace --embed``).  ``None`` keeps payloads unchanged.
     observability: Optional[Dict[str, Any]] = None
     #: Opt-in fixpoint convergence telemetry (per-round sweep records:
-    #: residuals, hop deltas, dirty-set sizes; see ``AnalysisOptions
+    #: residuals, hop deltas, tightened envelopes; see ``AnalysisOptions
     #: (convergence=True)`` and ``docs/observability.md``).  ``None``
     #: -- the default -- keeps payloads byte-identical.
     convergence: Optional[Dict[str, Any]] = None

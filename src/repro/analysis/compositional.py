@@ -15,11 +15,10 @@ busy-window bounds are sound for *every* realization consistent with the
 propagated envelopes and coincide with the paper's formulas in the
 envelope-aligned case.  See DESIGN.md section 3.
 
-The pipeline is one sweep of the fixed-point engine of
+The pipeline is one sweep per horizon round of the fixed-point engine of
 :mod:`repro.analysis.fixpoint` in dependency order: the classes here only
-name the method, refuse cyclic systems with
-:class:`~repro.analysis.base.CyclicDependencyError`, and never seed a
-horizon round from the previous one.
+name the method and refuse cyclic systems with
+:class:`~repro.analysis.base.CyclicDependencyError`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from ..model.system import SchedulingPolicy
 from .fixpoint import FixpointAnalysis
 from .hopbounds import blocking_time
 from .horizon import HorizonConfig
-from .options import AnalysisOptions
 
 __all__ = [
     "CompositionalAnalysis",
@@ -53,39 +51,13 @@ class CompositionalAnalysis(FixpointAnalysis):
 
     The general engine behind the paper's ``SPNP/App`` and ``FCFS/App``
     methods; supports heterogeneous systems (different policies on
-    different processors) out of the box.
-
-    Parameters
-    ----------
-    horizon:
-        Adaptive-horizon configuration.
-    force_policy:
-        When set, every processor is analyzed as if it ran this policy
-        (used by the convenience subclasses to mirror the paper's uniform
-        experiments).
-    keep_curves:
-        Retain per-hop envelopes in the result for inspection.
-    options:
-        Performance options (:class:`~repro.analysis.options.
-        AnalysisOptions`); see :class:`~repro.analysis.fixpoint.
-        FixpointAnalysis` for what compaction does.
+    different processors) out of the box.  Takes the parameters of
+    :class:`~repro.analysis.fixpoint.FixpointAnalysis`; a forced policy
+    names the method (the convenience subclasses mirror the paper's
+    uniform experiments).
     """
 
     single_pass = True
-
-    def __init__(
-        self,
-        horizon: Optional[HorizonConfig] = None,
-        force_policy: Optional[SchedulingPolicy] = None,
-        keep_curves: bool = False,
-        options: Optional[AnalysisOptions] = None,
-    ) -> None:
-        super().__init__(
-            horizon,
-            force_policy=force_policy,
-            options=options,
-            keep_curves=keep_curves,
-        )
 
     @property
     def name(self) -> str:

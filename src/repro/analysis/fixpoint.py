@@ -19,23 +19,24 @@ Per subjob and hop the engine keeps
 
 and reports ``d_{k,j} = max_m (late_{k,j+1,m} - early_{k,j,m})``.
 
+A sweep evaluates every hop once and tightens the next hop's ``late``
+envelope.  Each horizon round starts from fresh envelopes, and a sweep
+reads nothing of earlier sweeps but the envelopes they tightened.
+
+On an acyclic system the hops are visited in
+:func:`~repro.analysis.base.dependency_order`, so each is evaluated from
+final inputs, and a round is exactly one sweep: the paper's single-pass
+pipeline.  ``SPNP/App``, ``FCFS/App``, ``SPP/App`` and ``Mixed/App``
+(:mod:`repro.analysis.compositional`) run on this engine and refuse
+cyclic systems.
+
 The paper's conclusion sketches the iteration ``X^{n+1} = F(X^n)`` for
 systems whose envelopes depend on each other cyclically -- "physical
 loops" (a chain revisiting a processor) and "logical loops" (mutual
-interference across processors).  A sweep visits the hops and tightens
-the next hop's ``late`` envelope in place.  Every envelope carries a
-change stamp, and a hop is re-evaluated only when an envelope it reads
-changed after its own last evaluation.  Sweeps end at the exact fixed
-point (no hop left to re-evaluate), when the per-job sums stop moving, on
-a period-2 oscillation, or after ``max_iterations`` sweeps.
-
-On an acyclic system the hops are visited in
-:func:`~repro.analysis.base.dependency_order`, so each is evaluated once,
-from final inputs, and one sweep per horizon round *is* the paper's
-single-pass pipeline: ``SPNP/App``, ``FCFS/App``, ``SPP/App`` and
-``Mixed/App`` (:mod:`repro.analysis.compositional`) run on this engine
-and refuse cyclic systems, while ``Fixpoint/App`` sweeps those in
-declaration order.
+interference across processors).  ``Fixpoint/App`` sweeps those in
+declaration order until a sweep tightens no envelope (the exact fixed
+point), the per-job sums stop moving, a period-2 oscillation appears, or
+:data:`MAX_SWEEPS` sweeps have run.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ from .spp_exact import _overloaded_result
 __all__ = ["FixpointAnalysis"]
 
 Key = Tuple[str, int]
+
+#: Cap on the sweeps of one horizon round of a cyclic system; the last
+#: iterate is still a sound bound.
+MAX_SWEEPS = 25
 
 #: Convergence tolerances for the per-job delay sums: two iterates agree
 #: when their difference is within ``abs_tol + rel_tol * magnitude``.  A
@@ -126,7 +131,7 @@ def _telemetry_float(value: Optional[float]) -> Optional[float]:
 
 
 class _Hop:
-    """What one hop reads: its interferers, blocking and envelope keys."""
+    """What one hop reads: its interferers and blocking."""
 
     def __init__(self, system: System, sub: SubJob, policy: SchedulingPolicy):
         self.sub = sub
@@ -136,7 +141,6 @@ class _Hop:
             # Every other subjob may precede ours; the utilization curve
             # reads every peer's late envelope, its own included.
             self.interferers = [s for s in self.peers if s.key != sub.key]
-            reads = self.peers
             self.blocking = 0.0
         else:
             self.interferers = [
@@ -144,13 +148,15 @@ class _Hop:
                 for s in self.peers
                 if s.key != sub.key and s.priority < sub.priority
             ]
-            reads = self.interferers + [sub]
             self.blocking = blocking_time(system, sub, policy)
-        self.reads = [s.key for s in reads]
 
 
 class _Envelopes:
-    """One horizon round: envelopes, their curves and change stamps."""
+    """One horizon round: envelopes and their curves.
+
+    A tightened envelope is installed as a new array, so the curve caches
+    key on the arrays they were built from.
+    """
 
     def __init__(
         self,
@@ -178,36 +184,11 @@ class _Envelopes:
                     self.early[prev.key], prev.wcet
                 )
                 self.late[sub.key] = np.full(rel.size, math.inf)
-        # A hop is evaluated at ``tick`` and its writes are stamped
-        # ``tick + 1``, so a hop that tightens an envelope it reads itself
-        # stays dirty.
-        self.tick = 0
-        self.changed_at: Dict[Key, int] = dict.fromkeys(self.late, 0)
-        self.evaluated_at: Dict[Key, int] = {}
         self.delays: Dict[Key, float] = {}
         self.hop_ok: Dict[Key, bool] = {}
         self._c_early: Dict[Key, Curve] = {}
-        self._c_late: Dict[Key, Tuple[int, Curve]] = {}
-        self._u_lo: Dict[Hashable, Tuple[int, Curve]] = {}
-
-    def seed(self, carried: Dict[Key, np.ndarray]) -> None:
-        """Tighten ``late`` with a smaller horizon's envelopes.
-
-        Release prefixes agree across horizons, so instance ``m`` is the
-        same instance in both rounds, and every carried value is a sound
-        bound (see :class:`FixpointAnalysis`).
-        """
-        for key, prev in carried.items():
-            cur = self.late[key]
-            m = min(cur.size, prev.size)
-            if key[1] and m:
-                np.minimum(cur[:m], prev[:m], out=cur[:m])
-
-    def dirty(self, hop: _Hop) -> bool:
-        last = self.evaluated_at.get(hop.sub.key)
-        return last is None or any(
-            self.changed_at[k] > last for k in hop.reads
-        )
+        self._c_late: Dict[Key, Tuple[np.ndarray, Curve]] = {}
+        self._u_lo: Dict[Hashable, Tuple[List[np.ndarray], Curve]] = {}
 
     def early_curve(self, s: SubJob) -> Curve:
         curve = self._c_early.get(s.key)
@@ -220,10 +201,10 @@ class _Envelopes:
         return curve
 
     def late_curve(self, s: SubJob) -> Curve:
-        stamp = self.changed_at[s.key]
+        late = self.late[s.key]
         built = self._c_late.get(s.key)
-        if built is None or built[0] != stamp:
-            curve = visible_step(self.late[s.key], s.wcet, self.h)
+        if built is None or built[0] is not late:
+            curve = visible_step(late, s.wcet, self.h)
             if self.options is not None:
                 # Min-count envelopes err downward: less certified
                 # service.  On FCFS processors they feed the step-only
@@ -231,21 +212,21 @@ class _Envelopes:
                 curve = self.options.cap_lower(
                     curve, require_step=s.processor in self.fcfs_procs
                 )
-            built = self._c_late[s.key] = (stamp, curve)
+            built = self._c_late[s.key] = (late, curve)
         return built[1]
 
     def utilization(self, proc: Hashable, peers: Sequence[SubJob]) -> Curve:
         """``U_lo`` of an FCFS processor's min-count total workload."""
-        stamp = max(self.changed_at[s.key] for s in peers)
+        lates = [self.late[s.key] for s in peers]
         built = self._u_lo.get(proc)
-        if built is None or built[0] != stamp:
+        if built is None or any(a is not b for a, b in zip(built[0], lates)):
             total = sum_curves([self.late_curve(s) for s in peers])
             if self.options is not None:
                 # A smaller min-count total means less certified service,
                 # so U_lo only drops: the sound direction.
                 total = self.options.cap_lower(total, require_step=True)
             built = self._u_lo[proc] = (
-                stamp,
+                lates,
                 fcfs_utilization(total, t_end=self.h),
             )
         return built[1]
@@ -254,8 +235,6 @@ class _Envelopes:
         """Re-bound one hop; True if it tightened the next hop's ``late``."""
         sub = hop.sub
         key = sub.key
-        self.evaluated_at[key] = self.tick
-        self.tick += 1
         env_early, env_late = self.early[key], self.late[key]
         with trace_span(
             "hop",
@@ -297,13 +276,10 @@ class _Envelopes:
         nxt = (key[0], key[1] + 1)
         if nxt not in self.late:
             return False
-        # Only value changes are installed and stamped, so the dirty
-        # check tracks real movement.
         tightened = np.minimum(dep_ub, self.late[nxt])
         if np.array_equal(tightened, self.late[nxt]):
             return False
         self.late[nxt] = tightened
-        self.changed_at[nxt] = self.tick
         return True
 
 
@@ -311,17 +287,14 @@ class FixpointAnalysis:
     """Theorem-4 bounds swept to a fixed point; handles cyclic systems.
 
     On an acyclic system it makes one sweep per horizon round and equals
-    ``Mixed/App`` (or the forced policy's single-pass method); on a
-    cyclic one it sweeps the hops in declaration order until the
-    envelopes settle.
+    ``Mixed/App`` (or the forced policy's single-pass method), with or
+    without options; on a cyclic one it sweeps the hops in declaration
+    order until the envelopes settle.
 
     Parameters
     ----------
     horizon:
         Adaptive-horizon configuration.
-    max_iterations:
-        Cap on sweeps per horizon; the last iterate is still a sound
-        bound.
     force_policy:
         Analyze every processor under this policy (as the paper's uniform
         experiments do); default honors each processor's own policy.
@@ -329,52 +302,28 @@ class FixpointAnalysis:
         Performance options.  With compaction enabled, every max-count
         envelope is compacted upward and every min-count envelope
         downward before entering the hop-bound formulas, which can only
-        loosen (never undercut) the departure bounds.  Also with
-        compaction enabled, each doubled horizon's ``late`` envelopes are
-        seeded with the previous horizon's.  That is
-        sound because every envelope value the iteration produces is
-        itself a valid bound: a finite latest departure ``late_m <= h``
-        proven for the ``h``-truncated system holds for any larger horizon
-        by causality (work released after ``h`` cannot influence the
-        schedule before ``h``).  It is not lossless: compacted curves
-        differ between horizons, so seeding moves compacted bounds,
-        usually down and sometimes up.  Without compaction no round is
-        seeded, so options that only change speed or telemetry leave the
-        bounds bit for bit those of ``options=None``.
-    dirty_skip:
-        Skip hops none of whose input envelopes changed since their last
-        evaluation (re-evaluating them would reproduce their outputs byte
-        for byte).  On by default; the switch exists for the equivalence
-        regression test.
+        loosen (never undercut) the departure bounds.  Options that only
+        change speed or telemetry leave the bounds bit for bit those of
+        ``options=None``.
     keep_curves:
         Retain per-hop envelopes and workload curves in the result.
     """
 
     name = "Fixpoint/App"
-    #: The single-pass subclasses refuse cyclic systems and never seed a
-    #: horizon from the previous one.
+    #: The single-pass subclasses refuse cyclic systems.
     single_pass = False
 
     def __init__(
         self,
         horizon: Optional[HorizonConfig] = None,
-        max_iterations: int = 25,
         force_policy: Optional[SchedulingPolicy] = None,
         options: Optional[AnalysisOptions] = None,
-        dirty_skip: bool = True,
         keep_curves: bool = False,
     ) -> None:
         self.horizon = horizon or HorizonConfig()
-        self.max_iterations = max_iterations
         self.force_policy = force_policy
         self.options = options
-        self.dirty_skip = dirty_skip
         self.keep_curves = keep_curves
-
-    #: Legacy alias for :attr:`name`.
-    @property
-    def method(self) -> str:
-        return self.name
 
     @property
     def policy(self) -> Optional[SchedulingPolicy]:
@@ -385,13 +334,14 @@ class FixpointAnalysis:
         """Compute per-hop summed response-time bounds (Theorem 4)."""
         system.validate(self.force_policy)
         if system.max_utilization() > UTILIZATION_GUARD:
-            return _overloaded_result(system, self.method)
+            return _overloaded_result(system, self.name)
         try:
             order = dependency_order(system, for_envelopes=True)
+            cyclic = False
         except CyclicDependencyError:
             if self.single_pass:
                 raise
-            order = system.job_set.all_subjobs()
+            order, cyclic = system.job_set.all_subjobs(), True
         policies = {
             p: self.force_policy or system.policy(p) for p in system.processors
         }
@@ -399,23 +349,13 @@ class FixpointAnalysis:
         fcfs_procs = frozenset(
             p for p, pol in policies.items() if pol == SchedulingPolicy.FCFS
         )
-        opts = self.options
-        warm = not self.single_pass and opts is not None and opts.compaction_enabled
-        # Warm-start carry: the previous (smaller) horizon's envelopes.
-        carry: Optional[Dict[Key, np.ndarray]] = {} if warm else None
 
         def analyze_once(h: float, report: float):
-            env = _Envelopes(system, fcfs_procs, h, report, opts)
-            if carry:
-                env.seed(carry)
-            result = self._sweep(system, hops, env)
-            if carry is not None:
-                # Every iterate is sound, converged or not.
-                carry.update(env.late)
-            return result
+            env = _Envelopes(system, fcfs_procs, h, report, self.options)
+            return self._sweep(system, hops, env, cyclic)
 
         with trace_span(
-            "analyze", method=self.method, n_jobs=len(list(system.jobs))
+            "analyze", method=self.name, n_jobs=len(list(system.jobs))
         ) as span:
             result = run_adaptive(analyze_once, system.job_set, self.horizon)
             span.set_attrs(
@@ -428,7 +368,7 @@ class FixpointAnalysis:
     # ------------------------------------------------------------------
 
     def _sweep(
-        self, system: System, hops: List[_Hop], env: _Envelopes
+        self, system: System, hops: List[_Hop], env: _Envelopes, cyclic: bool
     ) -> Tuple[AnalysisResult, bool]:
         """Sweep one horizon round to its fixed point; build its result."""
         h = env.h
@@ -442,34 +382,25 @@ class FixpointAnalysis:
         introspect = telemetry or _metrics_enabled()
         sweep_records = []
         stable = False
-        for sweep in range(1, self.max_iterations + 1):
+        for sweep in range(1, MAX_SWEEPS + 1):
             with trace_span("fixpoint.sweep", sweep=sweep, horizon=h) as span:
                 prev_delays = (
                     dict(env.delays) if telemetry and sweep > 1 else None
                 )
-                evaluated = changed = 0
-                for hop in hops:
-                    if self.dirty_skip and not env.dirty(hop):
-                        continue
-                    evaluated += 1
-                    changed += env.evaluate(hop)
-                skipped = len(hops) - evaluated
+                changed = sum(env.evaluate(hop) for hop in hops)
                 totals = {
                     job.job_id: sum(env.delays[s.key] for s in job.subjobs)
                     for job in job_set
                 }
                 bounded = all(env.hop_ok.values())
-                span.set_attrs(bounded=bounded, skipped=skipped)
-                if skipped:
-                    _metric_inc("repro_fixpoint_hops_skipped_total", skipped)
+                span.set_attrs(bounded=bounded)
                 if introspect:
                     residual = _max_delta(totals, prev_totals)
                     _metric_inc("repro_fixpoint_sweeps_total")
                     if residual is not None and math.isfinite(residual):
                         _metric_set_gauge("repro_fixpoint_residual", residual)
                     span.set_attrs(
-                        residual=residual if residual is not None else "first",
-                        dirty=evaluated,
+                        residual=residual if residual is not None else "first"
                     )
                 if telemetry:
                     sweep_records.append(
@@ -479,17 +410,17 @@ class FixpointAnalysis:
                             "max_hop_delta": _telemetry_float(
                                 _max_delta(env.delays, prev_delays)
                             ),
-                            "dirty": evaluated,
-                            "skipped": skipped,
                             "changed": changed,
                             "bounded": bounded,
                         }
                     )
-            # Exact fixed point: no hop would see new inputs.  Otherwise
-            # converged only when every bound is finite and stable: an
-            # infinite total may still be propagating through the loop
-            # (each sweep resolves one more hop of a cyclic chain).
-            if not any(env.dirty(hop) for hop in hops) or (
+            # In dependency order every hop was evaluated from final
+            # inputs, and a sweep that tightened nothing evaluated every
+            # hop from its final inputs: either is the exact fixed point.
+            # Otherwise converged only when every bound is finite and
+            # stable: an infinite total may still be propagating through
+            # the loop (each sweep resolves one more hop of a cyclic chain).
+            if not cyclic or not changed or (
                 prev_totals is not None and _totals_close(totals, prev_totals)
             ):
                 stable = True
@@ -524,18 +455,18 @@ class FixpointAnalysis:
                 {
                     "kind": "iteration_budget_exhausted",
                     "source": "FixpointAnalysis",
-                    "sweep": self.max_iterations,
+                    "sweep": MAX_SWEEPS,
                     "horizon": h,
                     "detail": (
                         f"per-job delay sums not stable after "
-                        f"{self.max_iterations} sweeps; returning the "
+                        f"{MAX_SWEEPS} sweeps; returning the "
                         f"last (sound) iterate"
                     ),
                 }
             )
 
         result = AnalysisResult(
-            method=self.method, horizon=h, drained=False, converged=False
+            method=self.name, horizon=h, drained=False, converged=False
         )
         result.diagnostics.extend(diagnostics)
         if telemetry:

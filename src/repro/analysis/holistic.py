@@ -47,6 +47,12 @@ __all__ = ["HolisticSPPAnalysis"]
 
 Key = Tuple[str, int]
 
+#: Maximum number of global jitter-propagation sweeps.
+MAX_SWEEPS = 200
+#: A hop response exceeding ``DIVERGENCE_FACTOR`` times the largest
+#: deadline is treated as divergent and reported as an infinite bound.
+DIVERGENCE_FACTOR = 50.0
+
 
 class HolisticSPPAnalysis:
     """The SPP/S&L comparator (periodic jobs, SPP processors only).
@@ -56,33 +62,19 @@ class HolisticSPPAnalysis:
     horizon:
         Accepted for :class:`~repro.analysis.base.Analyzer` uniformity and
         ignored -- the holistic iteration is horizon-free.
-    max_sweeps:
-        Maximum number of global jitter-propagation sweeps.
-    divergence_factor:
-        A hop response exceeding ``divergence_factor * deadline`` is
-        treated as divergent and reported as an infinite bound.
     """
 
     name = "SPP/S&L"
-    method = name  #: legacy alias for ``name``
     policy = SchedulingPolicy.SPP
 
-    def __init__(
-        self,
-        horizon=None,
-        max_sweeps: int = 200,
-        divergence_factor: float = 50.0,
-        options=None,
-    ) -> None:
-        self.max_sweeps = max_sweeps
-        self.divergence_factor = divergence_factor
+    def __init__(self, horizon=None, options=None) -> None:
         # Accepted for registry uniformity; the holistic iteration works
         # on scalar jitter/response values, there are no curves to compact.
         self.options = options
 
     def analyze(self, system: System) -> AnalysisResult:
         with trace_span(
-            "analyze", method=self.method, n_jobs=len(list(system.jobs))
+            "analyze", method=self.name, n_jobs=len(list(system.jobs))
         ) as span:
             result = self._analyze(system)
             span.set_attrs(schedulable=result.schedulable)
@@ -101,12 +93,12 @@ class HolisticSPPAnalysis:
                     f"for this reason)"
                 )
         if system.max_utilization() > UTILIZATION_GUARD:
-            return _overloaded_result(system, self.method)
+            return _overloaded_result(system, self.name)
 
         period: Dict[str, float] = {
             job.job_id: 1.0 / job.arrivals.rate for job in job_set
         }
-        cutoff = self.divergence_factor * max(job.deadline for job in job_set)
+        cutoff = DIVERGENCE_FACTOR * max(job.deadline for job in job_set)
 
         # State: per-subjob jitter and response, all from nominal release.
         jitter: Dict[Key, float] = {s.key: 0.0 for s in job_set.all_subjobs()}
@@ -115,7 +107,7 @@ class HolisticSPPAnalysis:
         response: Dict[Key, float] = {s.key: s.wcet for s in job_set.all_subjobs()}
 
         diverged = False
-        for _sweep in range(self.max_sweeps):
+        for _sweep in range(MAX_SWEEPS):
             changed = False
             for job in job_set:
                 for sub in job.subjobs:
@@ -143,7 +135,7 @@ class HolisticSPPAnalysis:
             diverged = True
 
         result = AnalysisResult(
-            method=self.method,
+            method=self.name,
             horizon=math.inf,
             drained=not diverged,
             converged=not diverged,

@@ -10,9 +10,8 @@ The default for every analyzer is ``options=None``: no compaction.
 ``AnalysisOptions()`` gives the same bounds bit for bit; setting
 ``compact_budget`` or ``compact_max_error`` trades bound tightness for
 speed in a certified direction (bounds stay sound, they only get looser
-than the exact ones) and, for ``Fixpoint/App``, seeds each doubled
-horizon from the previous one.  Exact analyses ignore compaction
-entirely; see ``docs/performance.md`` for guidance on choosing budgets.
+than the exact ones).  Exact analyses ignore compaction entirely; see
+``docs/performance.md`` for guidance on choosing budgets.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ class AnalysisOptions:
     #: compaction is off.
     compact_max_error: Optional[float] = None
     #: Record per-sweep fixpoint convergence telemetry (max residual,
-    #: per-hop bound deltas, dirty-set sizes) in the result's
+    #: per-hop bound deltas, tightened envelopes) in the result's
     #: ``convergence`` block.  Telemetry-only: bounds and every other
     #: result field are unchanged, and the flag is excluded from journal
     #: item digests.

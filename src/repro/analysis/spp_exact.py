@@ -72,7 +72,6 @@ class SppExactAnalysis:
     """
 
     name = "SPP/Exact"
-    method = name  #: legacy alias for ``name``
     policy = SchedulingPolicy.SPP
 
     def __init__(
@@ -118,14 +117,14 @@ class SppExactAnalysis:
                 f"pipeline (SPP/App) or the holistic baseline instead"
             )
         if system.max_utilization() > UTILIZATION_GUARD:
-            return _overloaded_result(system, self.method)
+            return _overloaded_result(system, self.name)
         order = dependency_order(system)  # raises on cycles
 
         def analyze_once(h: float, report: float) -> Tuple[AnalysisResult, bool]:
             return self._analyze_horizon(system, order, h, report)
 
         with trace_span(
-            "analyze", method=self.method, n_jobs=len(list(system.jobs))
+            "analyze", method=self.name, n_jobs=len(list(system.jobs))
         ) as span:
             result = run_adaptive(analyze_once, system.job_set, self.horizon)
             if self.options is not None and self.options.compaction_enabled:
@@ -208,7 +207,7 @@ class SppExactAnalysis:
                 span.set_attrs(n_instances=int(n), n_interferers=len(higher))
 
         result = AnalysisResult(
-            method=self.method, horizon=h, drained=False, converged=False
+            method=self.name, horizon=h, drained=False, converged=False
         )
         all_ok = True
         for job in job_set:

@@ -45,6 +45,10 @@ __all__ = ["StationaryAnalysis"]
 
 Key = Tuple[str, int]
 
+#: Span of the trace prefix used to build envelopes for processes without
+#: a closed-form envelope (e.g. the bursty Eq. 27 stream).
+ENVELOPE_HORIZON = 200.0
+
 
 class StationaryAnalysis:
     """Envelope-based per-hop bounds, valid without any horizon.
@@ -52,31 +56,16 @@ class StationaryAnalysis:
     Parameters
     ----------
     horizon:
-        Accepted for :class:`~repro.analysis.base.Analyzer` uniformity;
-        the bounds themselves are horizon-free, but when a
-        :class:`~repro.analysis.horizon.HorizonConfig` with an explicit
-        ``initial`` horizon is given it seeds ``envelope_horizon``.
-    envelope_horizon:
-        Span of the trace prefix used to build envelopes for processes
-        without a closed-form envelope (e.g. the bursty Eq. 27 stream).
+        Accepted for :class:`~repro.analysis.base.Analyzer` uniformity and
+        ignored -- the bounds are horizon-free.
     keep_curves:
         Retain the per-hop envelopes and leftover curves in the result.
     """
 
     name = "Stationary/NC"
-    method = name  #: legacy alias for ``name``
     policy = None  #: honors each processor's own policy
 
-    def __init__(
-        self,
-        horizon=None,
-        envelope_horizon: float = 200.0,
-        keep_curves: bool = False,
-        options=None,
-    ) -> None:
-        if horizon is not None and horizon.initial is not None:
-            envelope_horizon = horizon.initial
-        self.envelope_horizon = envelope_horizon
+    def __init__(self, horizon=None, keep_curves: bool = False, options=None) -> None:
         self.keep_curves = keep_curves
         # Accepted for registry uniformity; the stationary envelopes are
         # tiny closed-form curves, compacting them would gain nothing.
@@ -84,7 +73,7 @@ class StationaryAnalysis:
 
     def analyze(self, system: System) -> AnalysisResult:
         with trace_span(
-            "analyze", method=self.method, n_jobs=len(list(system.jobs))
+            "analyze", method=self.name, n_jobs=len(list(system.jobs))
         ) as span:
             result = self._analyze(system)
             span.set_attrs(schedulable=result.schedulable)
@@ -114,7 +103,7 @@ class StationaryAnalysis:
             if s.index == 0:
                 job_s = job_set[s.job_id]
                 alpha = envelope_of(
-                    job_s.arrivals, height=s.wcet, horizon=self.envelope_horizon
+                    job_s.arrivals, height=s.wcet, horizon=ENVELOPE_HORIZON
                 )
                 if job_s.release_jitter > 0:
                     alpha = shift_envelope(alpha, job_s.release_jitter)
@@ -170,7 +159,7 @@ class StationaryAnalysis:
             delays[key] = horizontal_deviation(alpha, beta)
 
         result = AnalysisResult(
-            method=self.method, horizon=math.inf, drained=True, converged=True
+            method=self.name, horizon=math.inf, drained=True, converged=True
         )
         for job in job_set:
             # Response times are measured from the *nominal* release; a

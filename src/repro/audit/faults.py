@@ -16,7 +16,7 @@ is not measuring anything.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -190,7 +190,6 @@ class CorruptedAnalyzer:
         self.inner = inner
         self.factor = factor
         self.name = f"{inner.name}!corrupted"
-        self.method = self.name
 
     @property
     def policy(self):

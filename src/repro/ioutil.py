@@ -9,7 +9,9 @@ payload is written to a temporary file *in the destination directory*
 (same filesystem, so the final rename cannot cross devices), flushed and
 fsynced, and then moved over the destination with :func:`os.replace`.
 Readers see either the old complete file or the new complete file, never
-a prefix of the new one.
+a prefix of the new one.  The temporary file is created with mode 0666
+less the umask, as :func:`open` creates files, so an artifact is as
+readable as the journal beside it.
 
 The journal (:mod:`repro.batch.journal`) is the one writer that does not
 fit this shape -- it appends incrementally by design -- and handles its
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Union
 
 __all__ = ["write_text_atomic", "write_json_atomic", "fsync_path"]
@@ -57,9 +58,13 @@ def write_text_atomic(path: PathLike, text: str, durable: bool = True) -> str:
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=directory
+    tmp = os.path.join(
+        directory, f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp"
     )
+    # Not tempfile.mkstemp, which makes the file 0600 whatever the umask:
+    # the kernel applies the umask to 0666, as open() does for the journal.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -54,17 +54,12 @@ class TestConvergenceBlock:
         assert len(final["sweeps"]) == final["n_sweeps"]
         for i, sweep in enumerate(final["sweeps"]):
             assert sweep["sweep"] == i + 1
-            assert sweep["dirty"] >= 0 and sweep["skipped"] >= 0
             assert isinstance(sweep["bounded"], bool)
         # the first sweep of a round has no previous totals to diff
         assert final["sweeps"][0]["residual"] is None
-        # the loop needs more than one sweep; later sweeps re-evaluate
-        # only the hops whose inputs moved, and the round ends at the
-        # exact fixed point, where no hop has new inputs
+        # the loop needs more than one sweep
         last = final["sweeps"][-1]
         assert last["residual"] is not None
-        assert 0 < last["dirty"] < final["sweeps"][0]["dirty"]
-        assert last["dirty"] + last["skipped"] == final["sweeps"][0]["dirty"]
 
     def test_block_survives_json_round_trip(self):
         result = FixpointAnalysis(options=OPTS).analyze(cyclic_system())

@@ -1,11 +1,11 @@
 """Golden-result pin for the default (no-compaction) analysis path.
 
 The performance layer introduced with ``AnalysisOptions`` (curve
-compaction, dirty-set sweeps, horizon warm-starting) must be invisible
-when it is switched off: ``make_analyzer(method)`` with no options has to
-produce byte-identical results to the pre-layer code.  This test runs
-every registered method over a small deterministic zoo of systems and
-compares the JSON-serialized results against a checked-in golden file.
+compaction) must be invisible when it is switched off:
+``make_analyzer(method)`` with no options has to produce byte-identical
+results to the pre-layer code.  This test runs every registered method
+over a small deterministic zoo of systems and compares the
+JSON-serialized results against a checked-in golden file.
 The zoo's ``trace`` case gives every job a long Poisson release trace, so
 its lowest-priority hops sum the step envelopes of seven jobs.
 

@@ -1,9 +1,8 @@
 """Regression tests for the performance layer (AnalysisOptions).
 
 The layer must be invisible when off (byte-identical results with
-``options=None``, with dirty-set skipping on or off, and with options
-that only change speed or telemetry) and certified when on (compacted
-bounds dominate exact bounds).
+``options=None`` and with options that only change speed or telemetry)
+and certified when on (compacted bounds dominate exact bounds).
 """
 
 import json
@@ -66,15 +65,6 @@ def wcrts(result):
 # -- the layer is invisible when off ---------------------------------------
 
 
-def test_dirty_skip_matches_naive_sweeps():
-    sys_ = cyclic_system()
-    skipping = FixpointAnalysis().analyze(sys_)
-    naive = FixpointAnalysis(dirty_skip=False).analyze(sys_)
-    assert wcrts(skipping) == wcrts(naive)
-    assert skipping.horizon == naive.horizon
-    assert skipping.rounds == naive.rounds
-
-
 THEOREM4_METHODS = ["SPNP/App", "FCFS/App", "SPP/App", "Mixed/App", "Fixpoint/App"]
 
 #: Seed-0 shop_sweep set ``s0043-b2u3`` under SPP.  Seeding Fixpoint/App's
@@ -108,8 +98,8 @@ def payload(result):
 
 
 def test_warm_start_matches_cold_start():
-    # Only compaction seeds a horizon from the previous one, so
-    # AnalysisOptions() gives every method the payload of options=None.
+    # Options without compaction give every method the payload of
+    # options=None.
     for method in THEOREM4_METHODS:
         systems = [bursty_system(n_jobs=4, n_inst=100)]
         if method == "Fixpoint/App":
@@ -131,21 +121,24 @@ def test_speed_and_telemetry_options_keep_fixpoint_bounds(opts):
     assert payload(FixpointAnalysis(options=opts).analyze(sys_)) == payload(plain)
 
 
-def test_hops_skipped_metric_increments():
-    sys_ = cyclic_system()
-    with metrics() as registry:
-        FixpointAnalysis().analyze(sys_)
-        skipped = registry.counters.get("repro_fixpoint_hops_skipped_total", {})
-    assert sum(skipped.values()) > 0
-
-
 def test_no_hop_skipped_on_acyclic_systems():
     # Dependency order settles an acyclic system in one sweep per round.
     with metrics() as registry:
-        FixpointAnalysis().analyze(bursty_system(n_jobs=4, n_inst=100))
+        result = FixpointAnalysis().analyze(bursty_system(n_jobs=4, n_inst=100))
         sweeps = registry.counter_value("repro_fixpoint_sweeps_total")
-        skipped = registry.counter_value("repro_fixpoint_hops_skipped_total")
-    assert sweeps >= 1 and not skipped
+    assert sweeps == result.rounds >= 1
+
+
+def test_cyclic_fixed_point_is_pinned():
+    # The sweep rule must reach this fixed point exactly: nothing else
+    # pins where the sweeps over a loop end.
+    result = FixpointAnalysis().analyze(cyclic_system())
+    assert wcrts(result) == {
+        "fwd": 4.688888888889039,
+        "hp": 1.444444444444457,
+        "rev": 4.061204013378017,
+    }
+    assert (result.rounds, result.horizon, result.converged) == (4, 1280.0, True)
 
 
 # -- compaction is certified when on ---------------------------------------

@@ -677,6 +677,8 @@ class TestAnalyzerRefusals:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: cyclic subjob dependencies")
+        # ... and names the value --method takes for loops
+        assert err.rstrip().endswith("use Fixpoint/App for systems with loops")
 
     def test_fixpoint_analyzes_the_loop(self, tmp_path, capsys):
         code, _, _ = self._run(
