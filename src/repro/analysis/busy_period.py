@@ -60,12 +60,31 @@ class PeriodicTask:
         return self.wcet / self.period
 
 
-def _interference(tasks: Sequence[PeriodicTask], me: PeriodicTask, w: float) -> float:
+def _interference(higher: Sequence[PeriodicTask], w: float) -> float:
     total = 0.0
-    for t in tasks:
-        if t.priority < me.priority:
-            total += math.ceil((w + t.jitter) / t.period) * t.wcet
+    for t in higher:
+        total += math.ceil((w + t.jitter) / t.period) * t.wcet
     return total
+
+
+def _busy_period(
+    higher: Sequence[PeriodicTask],
+    task: PeriodicTask,
+    blocking: float,
+    cutoff: float,
+) -> float:
+    length = task.wcet + blocking
+    while True:
+        nxt = (
+            blocking
+            + math.ceil((length + task.jitter) / task.period) * task.wcet
+            + _interference(higher, length)
+        )
+        if nxt > cutoff:
+            return math.inf
+        if abs(nxt - length) <= 1e-9:
+            return nxt
+        length = nxt
 
 
 def busy_period_length(
@@ -80,18 +99,8 @@ def busy_period_length(
     C_h`` by fixed-point iteration; returns ``inf`` past the cutoff
     (overload at this priority level).
     """
-    length = task.wcet + blocking
-    while True:
-        nxt = (
-            blocking
-            + math.ceil((length + task.jitter) / task.period) * task.wcet
-            + _interference(tasks, task, length)
-        )
-        if nxt > cutoff:
-            return math.inf
-        if abs(nxt - length) <= 1e-9:
-            return nxt
-        length = nxt
+    higher = [t for t in tasks if t.priority < task.priority]
+    return _busy_period(higher, task, blocking, cutoff)
 
 
 def response_time(
@@ -105,11 +114,12 @@ def response_time(
 
     For each instance index ``q`` within the busy period solve
     ``w_q = B + (q+1) C + sum_hp ceil((w_q + J_h)/T_h) C_h`` and take
-    ``max_q ( w_q + J - q T )``.  Returns ``inf`` on overload.
+    ``max_q ( w_q + J - q T )``.  Returns ``inf`` on overload.  ``task``
+    need not be one of ``tasks``.
     """
-    if task not in tasks:
-        tasks = list(tasks) + [task]
-    busy = busy_period_length(tasks, task, blocking, cutoff)
+    # Filtered once; every sum below adds them in ``tasks`` order.
+    higher = [t for t in tasks if t.priority < task.priority]
+    busy = _busy_period(higher, task, blocking, cutoff)
     if math.isinf(busy):
         return math.inf
     q_max = int(math.ceil((busy + task.jitter) / task.period))
@@ -117,11 +127,7 @@ def response_time(
     for q in range(max(q_max, 1)):
         w = blocking + (q + 1) * task.wcet
         while True:
-            nxt = (
-                blocking
-                + (q + 1) * task.wcet
-                + _interference(tasks, task, w)
-            )
+            nxt = blocking + (q + 1) * task.wcet + _interference(higher, w)
             if nxt > cutoff:
                 return math.inf
             if abs(nxt - w) <= 1e-9:

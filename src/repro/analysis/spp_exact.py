@@ -95,7 +95,7 @@ class SppExactAnalysis:
         if not system.is_uniform(SchedulingPolicy.SPP):
             raise AnalysisError(
                 "SppExactAnalysis requires every processor to use SPP; use "
-                "CompositionalAnalysis for mixed or non-preemptive systems"
+                "Mixed/App for mixed or non-preemptive systems"
             )
         system.validate()
         masked = [

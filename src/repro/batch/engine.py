@@ -52,7 +52,7 @@ Typical use::
 
 from __future__ import annotations
 
-import copy
+import json
 import math
 import os
 import signal
@@ -162,10 +162,14 @@ class ItemResult:
     timeout_enforced: Optional[bool] = None
     #: Reproduction payload attached to quarantined items.
     quarantine: Optional[Dict[str, Any]] = None
-    #: Verbatim journal record this result was resumed from (set by
-    #: :meth:`from_journal`); when present, :meth:`to_dict` re-emits it
-    #: unchanged so resumed reports are byte-equal to original ones.
-    journal_payload: Optional[Dict[str, Any]] = None
+    #: The record's JSON text, for a record read back from a journal or
+    #: the result cache (:meth:`from_text`): :meth:`to_json` re-emits it
+    #: verbatim, so resumed and cached records are byte-equal to the run
+    #: that wrote them.
+    text: Optional[str] = None
+    #: Admission verdict of a record read back from text (it has no
+    #: ``result``).
+    verdict: bool = False
     #: The item was skipped on resume (outcome recovered from a journal).
     resumed: bool = False
     #: The item was served from the persistent result cache
@@ -179,9 +183,7 @@ class ItemResult:
     @property
     def schedulable(self) -> bool:
         """Admission verdict; a failed item conservatively rejects."""
-        if self.journal_payload is not None:
-            return bool(self.journal_payload.get("schedulable"))
-        return bool(self.result is not None and self.result.schedulable)
+        return self.result.schedulable if self.result is not None else self.verdict
 
     @property
     def cache_hit_rate(self) -> float:
@@ -189,14 +191,14 @@ class ItemResult:
         return self.cache_hits / n if n else 0.0
 
     @classmethod
-    def from_journal(cls, payload: Dict[str, Any], index: int) -> "ItemResult":
-        """Rehydrate a result from its journal record (resume path).
+    def from_text(cls, text: str, index: int, cached: bool = False) -> "ItemResult":
+        """Rehydrate a record from its JSON text: resumed, or ``cached``.
 
-        The record keeps ``payload`` itself, not a copy: callers pass a
-        freshly parsed dict that nothing else holds, and :meth:`to_dict`
-        hands out copies.
+        The text is parsed once, for the fields the report reads; the
+        record keeps the text, not the parse.
         """
-        rec = cls(
+        payload = json.loads(text)
+        return cls(
             index=index,
             item_id=str(payload.get("id", index)),
             method=str(payload.get("method", "")),
@@ -212,23 +214,11 @@ class ItemResult:
             degraded=bool(payload.get("degraded")),
             rung=int(payload.get("rung") or 0),
             quarantine=payload.get("quarantine"),
+            text=text,
+            verdict=bool(payload.get("schedulable")),
+            resumed=not cached,
+            cached=cached,
         )
-        rec.journal_payload = payload
-        rec.resumed = True
-        return rec
-
-    @classmethod
-    def from_cache(cls, payload: Dict[str, Any], index: int) -> "ItemResult":
-        """Rehydrate a result from the persistent result cache.
-
-        Identical to :meth:`from_journal` -- the cached value *is* the
-        item's JSONL record, re-emitted verbatim -- except the item is
-        flagged ``cached`` rather than ``resumed``.
-        """
-        rec = cls.from_journal(payload, index)
-        rec.resumed = False
-        rec.cached = True
-        return rec
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready record (the ``batch`` CLI emits one per line).
@@ -237,11 +227,11 @@ class ItemResult:
         robustness keys (``attempts``, ``degraded``/``rung``,
         ``timeout_enforced``, ``quarantine``) only when the corresponding
         mechanism actually fired -- the baseline record schema is
-        unchanged for ordinary batch runs.  A resumed record re-emits its
-        journal payload verbatim.
+        unchanged for ordinary batch runs.  A record read back from text
+        returns a parse of that text.
         """
-        if self.journal_payload is not None:
-            return copy.deepcopy(self.journal_payload)
+        if self.text is not None:
+            return json.loads(self.text)
         payload = {
             "id": self.item_id,
             "method": self.method,
@@ -270,6 +260,15 @@ class ItemResult:
         if self.quarantine is not None:
             payload["quarantine"] = dict(self.quarantine)
         return payload
+
+    def to_json(self) -> str:
+        """The record as one strict JSON line, as ``repro batch`` prints it.
+
+        A record read back from text returns that text unchanged.
+        """
+        if self.text is not None:
+            return self.text
+        return json.dumps(self.to_dict(), allow_nan=False)
 
 
 @dataclass
@@ -805,7 +804,7 @@ class BatchEngine:
         pending = [w for w in work if w[0] not in resumed]
         # Persistent result cache: serve still-pending items whose full
         # record is already stored, exactly like journal resume (the
-        # cached value *is* the record, re-emitted verbatim).
+        # cached value *is* the record's text, re-emitted verbatim).
         keys: Dict[int, str] = {}
         cached: Dict[int, ItemResult] = {}
         if self._result_cache is not None:
@@ -815,9 +814,9 @@ class BatchEngine:
                     audit=self.audit,
                     convergence=item.options is not None and item.options.convergence,
                 )
-                payload = self._result_cache.get(keys[i])
-                if payload is not None:
-                    cached[i] = ItemResult.from_cache(payload, i)
+                text = self._result_cache.get_text(keys[i])
+                if text is not None:
+                    cached[i] = ItemResult.from_text(text, i, cached=True)
             pending = [w for w in pending if w[0] not in cached]
         status = (
             StatusWriter(
@@ -832,23 +831,19 @@ class BatchEngine:
             """Journal, cache and count one final record, in that order.
 
             Resumed records are already journaled and cached records
-            already cached, so each skips those steps.
+            already cached, so each skips those steps.  A fresh record is
+            encoded once; a record read back from text is journaled as
+            that text.
             """
-            record = None
+            text = None
             if journal is not None and not rec.resumed:
-                # A cached record is journaled as stored, not copied:
-                # append serializes it at once and keeps no reference.
-                record = (
-                    rec.journal_payload
-                    if rec.journal_payload is not None
-                    else rec.to_dict()
-                )
-                journal.append(digests[rec.index], rec.index, record)
+                text = rec.to_json()
+                journal.append(digests[rec.index], rec.index, text)
                 if registry is not None:
                     registry.inc("repro_batch_journal_records_total")
             if (
                 rec.index in keys
-                and rec.journal_payload is None
+                and rec.text is None
                 and rec.ok
                 and not rec.degraded
                 and not rec.attempts
@@ -857,10 +852,11 @@ class BatchEngine:
                 # Only clean first-try successes describe the item rather
                 # than this run's environment.  Worker trace/metrics
                 # snapshots describe this run too, so they are stripped.
-                record = rec.to_dict() if record is None else record
-                record.pop("trace", None)
-                record.pop("metrics", None)
-                self._result_cache.put(keys[rec.index], record)
+                if rec.trace is not None or rec.metrics is not None:
+                    text = replace(rec, trace=None, metrics=None).to_json()
+                elif text is None:
+                    text = rec.to_json()
+                self._result_cache.put(keys[rec.index], text)
             if status is not None:
                 status.item_done(
                     rec.status,
@@ -940,16 +936,14 @@ class BatchEngine:
             return journal, {}
         with trace_span("batch.resume", journal=journal.path) as span:
             entries = journal.open_resume(fingerprint)
-            by_digest: Dict[str, List[Dict[str, Any]]] = {}
+            by_digest: Dict[str, List[str]] = {}
             for entry in entries:
-                by_digest.setdefault(entry["digest"], []).append(entry)
+                by_digest.setdefault(entry.digest, []).append(entry.text)
             resumed: Dict[int, ItemResult] = {}
             for index, _item in work:
                 bucket = by_digest.get(digests[index])
                 if bucket:
-                    resumed[index] = ItemResult.from_journal(
-                        bucket.pop(0)["record"], index
-                    )
+                    resumed[index] = ItemResult.from_text(bucket.pop(0), index)
             span.set_attrs(
                 n_entries=len(entries),
                 n_skipped=len(resumed),

@@ -10,27 +10,31 @@ loss -- can be resumed without re-analyzing a single completed item::
     engine = BatchEngine(n_workers=8, journal="campaign.wal", resume=True)
     engine.run(items)            # ...resumes: 1400 skipped, 600 analyzed
 
-File format (one JSON object per line):
+File format, schema 2 (one sealed JSON object per line, see
+:func:`repro.ioutil.seal`):
 
-* **Header** (first line): ``{"c": <crc32>, "h": {...}}`` where ``h``
+* **Header** (first line): ``{"c":<crc32>,"h":{...}}`` where ``h``
   carries the schema version and the *campaign fingerprint* -- a digest
   over every item's content digest plus the audit flag and code
   version.  Resuming against a journal whose fingerprint does not match
   the submitted campaign is refused: a journal never silently "resumes"
-  a different sweep.
-* **Entries**: ``{"c": <crc32>, "e": {"digest": ..., "index": ...,
-  "record": {...}}}`` -- ``record`` is the item's
-  :meth:`~repro.batch.engine.ItemResult.to_dict` payload, ``digest`` the
-  content digest of the work item (system + method + horizon + options),
-  ``index`` its submission index.
+  a different sweep, and a journal of another schema is refused by name.
+* **Entries**: ``{"c":<crc32>,"e":{"digest":...,"index":...,
+  "record":{...}}}`` -- ``record`` is the item's record exactly as
+  ``repro batch`` prints it (:meth:`~repro.batch.engine.ItemResult.to_json`),
+  ``digest`` the content digest of the work item (system + method +
+  horizon + options), ``index`` its submission index.
 
-Each line's ``c`` is the CRC-32 of the canonical JSON of its body.  On
-open, the journal is scanned front to back; a final line that is
-truncated, fails to parse or fails its CRC is a *torn tail* -- the
-expected signature of a mid-``write`` kill -- and is dropped (the file is
+Each line's ``c`` is the CRC-32 of its body's bytes exactly as written
+(the text after ``"h":``/``"e":`` up to the closing brace), so a reader
+checks the bytes it read and a record is journaled, resumed and
+re-emitted without being encoded again.  On open, the journal is scanned
+front to back; damaged lines at the very end of the file -- a final line
+that is truncated or fails its seal -- are a *torn tail*, the expected
+signature of a mid-``write`` kill, and are dropped (the file is
 truncated back to the last good line).  A bad line *followed by good
-lines* is genuine corruption and raises :class:`JournalError` instead of
-being papered over.
+lines* is genuine corruption and raises :class:`JournalError` instead
+of being papered over.
 
 Durability: every append is flushed to the OS immediately (a crashed
 *process* loses nothing) and fsynced whenever ``fsync_interval`` seconds
@@ -46,23 +50,24 @@ import io
 import json
 import os
 import time
-import zlib
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ..analysis.horizon import HorizonConfig
 from ..analysis.options import AnalysisOptions
+from ..ioutil import seal, unseal
 from ..model.io import system_to_dict
 from ..model.system import System
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
     "BatchJournal",
+    "JournalEntry",
     "JournalError",
     "campaign_fingerprint",
     "item_digest",
 ]
 
-JOURNAL_SCHEMA_VERSION = 1
+JOURNAL_SCHEMA_VERSION = 2
 
 #: Marker distinguishing a batch journal from any other JSONL file.
 JOURNAL_KIND = "repro.batch.journal"
@@ -86,6 +91,7 @@ def _code_version() -> str:
 
 
 def _canonical(payload: Any) -> str:
+    # Digests name content, so they hash a canonical encoding.
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
 
 
@@ -148,24 +154,55 @@ def campaign_fingerprint(digests: List[str], audit: bool = False) -> Dict[str, A
 # ----------------------------------------------------------------------
 
 
-def _frame(key: str, body: Dict[str, Any]) -> str:
-    crc = zlib.crc32(_canonical(body).encode("utf-8"))
-    return json.dumps({"c": crc, key: body}, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+class JournalEntry(NamedTuple):
+    """One journaled outcome, its record kept as the text it was read as."""
+
+    digest: str
+    index: int
+    text: str  #: the record's JSON text
 
 
-def _unframe(line: str, key: str) -> Optional[Dict[str, Any]]:
-    """Body of a framed line, or ``None`` when the line is damaged."""
+def _entry_line(digest: str, index: int, text: str) -> str:
+    body = f'{{"digest":{json.dumps(digest)},"index":{int(index)},"record":{text}}}'
+    return seal("e", body) + "\n"
+
+
+def _read_entry(line: bytes) -> Optional[JournalEntry]:
+    """The entry a line holds, or ``None`` when the line is damaged."""
+    body = unseal(line, "e")
+    if body is None:
+        return None
+    # The digest is a JSON string, so `,"record":` first appears after it.
+    head, sep, text = body.partition(',"record":')
+    if not sep:
+        return None
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
+        meta = json.loads(head + "}")
+        return JournalEntry(meta["digest"], meta["index"], text[:-1])
+    except (ValueError, TypeError, KeyError):
         return None
-    if not isinstance(obj, dict) or key not in obj or "c" not in obj:
+
+
+def _read_header(line: bytes, path: str) -> Optional[Dict[str, Any]]:
+    """The header a journal's first line holds; ``None`` when damaged.
+
+    Kind and schema are checked before the seal, so a journal of another
+    schema (which sealed its lines differently) is refused by name.
+    """
+    try:
+        header = json.loads(line)["h"]
+    except (ValueError, TypeError, KeyError):
         return None
-    body = obj[key]
-    if zlib.crc32(_canonical(body).encode("utf-8")) != obj["c"]:
+    if not isinstance(header, dict):
         return None
-    return body
+    if header.get("kind") != JOURNAL_KIND:
+        raise JournalError(f"{path!r} is not a {JOURNAL_KIND} file")
+    if header.get("schema") != JOURNAL_SCHEMA_VERSION:
+        raise JournalError(
+            f"journal {path!r} has schema {header.get('schema')!r}; "
+            f"this version reads schema {JOURNAL_SCHEMA_VERSION}"
+        )
+    return header if unseal(line, "h") is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -203,18 +240,18 @@ class BatchJournal:
         directory = os.path.dirname(self.path) or "."
         os.makedirs(directory, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(_frame("h", fingerprint))
+        self._fh.write(seal("h", json.dumps(fingerprint, separators=(",", ":"))) + "\n")
         self._sync(force=True)
 
-    def open_resume(self, fingerprint: Dict[str, Any]) -> List[Dict[str, Any]]:
+    def open_resume(self, fingerprint: Dict[str, Any]) -> List[JournalEntry]:
         """Scan an existing journal, drop a torn tail, reopen for append.
 
-        Returns the recovered entries (``{"digest", "index", "record"}``)
-        in journal order.  Raises :class:`JournalError` when the file is
-        missing, was written by a different campaign, or is corrupt in
-        the middle.
+        Returns the recovered entries in journal order, each record kept
+        as its text.  Raises :class:`JournalError` when the file is
+        missing, was written by a different campaign or schema, or is
+        corrupt in the middle.
         """
-        header, entries, good_bytes, total_bytes = self.scan(self.path)
+        header, entries, good_bytes, total_bytes = self.scan_text(self.path)
         self._check_fingerprint(header, fingerprint)
         if good_bytes < total_bytes:
             # Torn tail from a mid-write kill: truncate back to the last
@@ -240,12 +277,19 @@ class BatchJournal:
 
     # -- writing -------------------------------------------------------
 
-    def append(self, digest: str, index: int, record: Dict[str, Any]) -> None:
-        """Journal one item's final outcome (write-ahead of the report)."""
+    def append(
+        self, digest: str, index: int, record: Union[str, Dict[str, Any]]
+    ) -> None:
+        """Journal one item's final outcome (write-ahead of the report).
+
+        ``record`` is the record's JSON text, written byte for byte, or a
+        JSON-ready dict, encoded here as ``repro batch`` prints it.
+        """
         if self._fh is None:
             raise JournalError("journal is not open for appending")
-        entry = {"digest": digest, "index": index, "record": record}
-        self._fh.write(_frame("e", entry))
+        if not isinstance(record, str):
+            record = json.dumps(record, allow_nan=False)
+        self._fh.write(_entry_line(digest, index, record))
         self._fh.flush()
         self.n_appended += 1
         self._sync()
@@ -268,12 +312,28 @@ class BatchJournal:
     def scan(
         path: str,
     ) -> Tuple[Dict[str, Any], List[Dict[str, Any]], int, int]:
-        """Parse a journal file, tolerating exactly one torn final line.
+        """:meth:`scan_text`, each entry a dict with its record parsed.
+
+        Entries are ``{"digest", "index", "record"}`` dicts, for readers
+        that inspect records rather than re-emit them.
+        """
+        header, entries, good_bytes, total_bytes = BatchJournal.scan_text(path)
+        parsed = [
+            {"digest": e.digest, "index": e.index, "record": json.loads(e.text)}
+            for e in entries
+        ]
+        return header, parsed, good_bytes, total_bytes
+
+    @staticmethod
+    def scan_text(
+        path: str,
+    ) -> Tuple[Dict[str, Any], List[JournalEntry], int, int]:
+        """Read a journal file, tolerating a torn tail.
 
         Returns ``(header, entries, good_bytes, total_bytes)`` where
         ``good_bytes`` is the offset just past the last intact line.
         ``good_bytes < total_bytes`` means a torn tail was detected (and
-        should be truncated before appending).
+        should be truncated before appending).  No record is parsed.
         """
         try:
             with open(path, "rb") as fh:
@@ -281,39 +341,35 @@ class BatchJournal:
         except OSError as exc:
             raise JournalError(f"cannot read journal {path!r}: {exc}") from exc
         header: Optional[Dict[str, Any]] = None
-        entries: List[Dict[str, Any]] = []
+        entries: List[JournalEntry] = []
         good_bytes = 0
-        for start, end, line in _iter_lines(raw):
-            body = None
-            complete = end > start and raw[end - 1 : end] == b"\n"
-            if complete:
-                key = "h" if header is None and not entries else "e"
-                body = _unframe(line, key)
-            if body is None:
-                # Damaged or unterminated line: legal only at the very
-                # end of the file (the torn-tail signature).
-                if end < len(raw):
-                    raise JournalError(
-                        f"journal {path!r} is corrupt at byte {start} "
-                        f"(damaged line followed by more data)"
-                    )
-                break
-            if header is None and not entries:
-                header = body
-            else:
-                entries.append(body)
+        damaged: Optional[int] = None  # offset of the first damaged line
+        for start, end in _line_spans(raw):
+            line = raw[start:end]
+            intact: Any = None
+            if line.endswith(b"\n"):
+                if start == 0:
+                    intact = header = _read_header(line[:-1], path)
+                else:
+                    intact = _read_entry(line[:-1])
+            if intact is None:
+                # Damaged or unterminated: legal only as part of the
+                # torn tail, which no intact line may follow.
+                if damaged is None:
+                    damaged = start
+                continue
+            if damaged is not None:
+                raise JournalError(
+                    f"journal {path!r} is corrupt at byte {damaged} "
+                    f"(damaged line followed by an intact one)"
+                )
+            if start > 0:
+                entries.append(intact)
             good_bytes = end
         if header is None:
             raise JournalError(
                 f"journal {path!r} has no intact header "
                 f"(not a batch journal, or torn before the first sync)"
-            )
-        if header.get("kind") != JOURNAL_KIND:
-            raise JournalError(f"{path!r} is not a {JOURNAL_KIND} file")
-        if header.get("schema") != JOURNAL_SCHEMA_VERSION:
-            raise JournalError(
-                f"journal {path!r} has schema {header.get('schema')!r}; "
-                f"this version reads schema {JOURNAL_SCHEMA_VERSION}"
             )
         return header, entries, good_bytes, len(raw)
 
@@ -339,8 +395,8 @@ class BatchJournal:
             )
 
 
-def _iter_lines(raw: bytes) -> Iterator[Tuple[int, int, str]]:
-    """Yield ``(start, end, text)`` per newline-delimited chunk of ``raw``.
+def _line_spans(raw: bytes) -> Iterator[Tuple[int, int]]:
+    """Yield ``(start, end)`` per newline-delimited chunk of ``raw``.
 
     The final chunk is yielded even without a trailing newline so the
     caller can classify it as torn.
@@ -350,5 +406,5 @@ def _iter_lines(raw: bytes) -> Iterator[Tuple[int, int, str]]:
     while start < n:
         nl = raw.find(b"\n", start)
         end = n if nl == -1 else nl + 1
-        yield start, end, raw[start:end].decode("utf-8", errors="replace")
+        yield start, end
         start = end

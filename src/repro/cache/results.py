@@ -13,11 +13,11 @@ legitimately change the emitted record without changing the item:
 * the **code version** -- any release may change bounds or the record
   schema, so entries written by other versions simply never match.
 
-The cached value is the item's full JSONL record
-(:meth:`~repro.batch.engine.ItemResult.to_dict`), re-emitted verbatim on
-a hit -- exactly the mechanism journal resume uses -- so a warm re-run's
-unchanged records are byte-identical to the run that populated the
-cache.
+The cached value is the item's full JSONL record as the text ``repro
+batch`` prints (:meth:`~repro.batch.engine.ItemResult.to_json`), stored
+byte for byte and re-emitted verbatim on a hit -- exactly the mechanism
+journal resume uses -- so a warm re-run's unchanged records are
+byte-identical to the run that populated the cache.
 """
 
 from __future__ import annotations
@@ -55,16 +55,21 @@ class ResultCache:
     """Whole-record cache over a :class:`~repro.cache.store.DiskCacheStore`.
 
     Thin by design: keys are computed by the caller (the batch engine,
-    which owns the audit/convergence context), values are JSON record
-    dicts, and every integrity concern lives in the store.
+    which owns the audit/convergence context), values are record JSON
+    texts, and every integrity concern lives in the store.
     """
 
     def __init__(self, store: DiskCacheStore) -> None:
         self.store = store
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        body = self.store.get(RESULTS_KIND, key)
-        return body if isinstance(body, dict) else None
+    def get_text(self, key: str) -> Optional[str]:
+        """The stored record's JSON text, verified; ``None`` on a miss."""
+        return self.store.get_text(RESULTS_KIND, key)
 
-    def put(self, key: str, record: Dict[str, Any]) -> bool:
-        return self.store.put(RESULTS_KIND, key, record)
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The stored record, parsed; ``None`` on a miss."""
+        return self.store.get(RESULTS_KIND, key)
+
+    def put(self, key: str, text: str) -> bool:
+        """Store a record's JSON text; False when the write failed."""
+        return self.store.put_text(RESULTS_KIND, key, text)

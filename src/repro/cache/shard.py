@@ -43,7 +43,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..batch.journal import BatchJournal, JournalError
+from ..batch.journal import BatchJournal, JournalEntry
 from ..ioutil import write_json_atomic
 from ..obs.metrics import MetricsRegistry
 from ..obs.status import STATUS_KIND, STATUS_SCHEMA_VERSION, read_status
@@ -249,13 +249,14 @@ def merge_journals(
     Entries are matched to plan slots by content digest (duplicate
     digests consume entries first-come-first-served, mirroring journal
     resume) and rewritten with the plan's global submission indices under
-    the full-campaign fingerprint header.  The merged journal is
-    resumable by the unsharded campaign.  Returns the entry count.
+    the full-campaign fingerprint header; each record is copied as the
+    text it was journaled as.  The merged journal is resumable by the
+    unsharded campaign.  Returns the entry count.
     """
     fingerprint = plan["fingerprint"]
-    buckets: Dict[str, List[Dict[str, Any]]] = {}
+    buckets: Dict[str, List[JournalEntry]] = {}
     for path in journal_paths:
-        header, entries, _good, _total = BatchJournal.scan(path)
+        header, entries, _good, _total = BatchJournal.scan_text(path)
         for key in ("audit", "code_version"):
             if header.get(key) != fingerprint.get(key):
                 raise ShardError(
@@ -264,20 +265,19 @@ def merge_journals(
                     f"{fingerprint.get(key)!r}"
                 )
         for entry in entries:
-            buckets.setdefault(entry["digest"], []).append(entry)
+            buckets.setdefault(entry.digest, []).append(entry)
     if os.path.exists(out_path):
         raise ShardError(
             f"merged journal {out_path!r} already exists; refusing to clobber"
         )
-    ordered: List[Tuple[int, str, Dict[str, Any]]] = []
+    ordered: List[Tuple[int, str, str]] = []
     missing: List[str] = []
     for entry in plan["items"]:
         bucket = buckets.get(entry["digest"])
         if not bucket:
             missing.append(entry["id"])
             continue
-        shard_entry = bucket.pop(0)
-        ordered.append((entry["index"], entry["digest"], shard_entry["record"]))
+        ordered.append((entry["index"], entry["digest"], bucket.pop(0).text))
     if missing:
         raise ShardError(
             f"{len(missing)} plan item(s) have no journal entry "
@@ -292,8 +292,8 @@ def merge_journals(
     journal = BatchJournal(out_path)
     try:
         journal.create(fingerprint)
-        for index, digest, record in ordered:
-            journal.append(digest, index, record)
+        for index, digest, text in ordered:
+            journal.append(digest, index, text)
     finally:
         journal.close()
     return len(ordered)

@@ -14,12 +14,18 @@ directory from growing unbounded on 100k-entry campaigns.
 
 Safety properties, in order of importance:
 
-* **Never a wrong answer.**  Every entry embeds the CRC-32 of its
-  canonical body plus its kind and digest; :meth:`~DiskCacheStore.get`
-  re-verifies all three on every read.  A tampered, torn or truncated
-  entry -- or a foreign file that happens to sit at the right path --
-  is counted in ``repro_cache_corrupt_total``, unlinked (best effort)
-  and reported as a miss, so the caller silently recomputes.
+* **Never a wrong answer.**  An entry is one sealed JSON object
+  (:func:`repro.ioutil.seal`), schema 2::
+
+      {"v":2,"k":"<kind>","d":"<digest>","c":<crc>,"b":<body>}
+
+  where ``c`` is the CRC-32 of the body's bytes exactly as written.
+  :meth:`~DiskCacheStore.get_text` checks the version, kind, digest and
+  CRC of the bytes it read on every read, without re-encoding anything.
+  A tampered, torn or truncated entry -- or a foreign file that happens
+  to sit at the right path, or an entry of another schema -- is counted
+  in ``repro_cache_corrupt_total``, unlinked (best effort) and reported
+  as a miss, so the caller silently recomputes.
 * **Concurrent writers are safe.**  Writes go through
   :func:`repro.ioutil.write_text_atomic` (tmp file in the destination
   directory + ``os.replace``), so two workers racing on the same digest
@@ -41,22 +47,16 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from typing import Any, Dict, Optional
 
-from ..ioutil import write_text_atomic
+from ..ioutil import seal, unseal, write_text_atomic
 from ..obs import metrics as _obs_metrics
 
 __all__ = ["CACHE_SCHEMA_VERSION", "DiskCacheStore"]
 
 #: Version of the on-disk entry envelope; bumping it invalidates
-#: (ignores) every entry written by older code.
-CACHE_SCHEMA_VERSION = 1
-
-
-def _canonical(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=str)
+#: (recomputes) every entry written by older code.
+CACHE_SCHEMA_VERSION = 2
 
 
 class DiskCacheStore:
@@ -86,12 +86,13 @@ class DiskCacheStore:
 
     # ------------------------------------------------------------------
 
-    def get(self, kind: str, digest: str) -> Optional[Any]:
-        """Verified body stored under ``digest``, or ``None`` (a miss).
+    def get_text(self, kind: str, digest: str) -> Optional[str]:
+        """Verified body text stored under ``digest``, or ``None`` (a miss).
 
-        Corrupt entries (bad JSON, wrong kind/digest, CRC mismatch) are
-        removed and reported as misses after counting ``corrupt`` -- the
-        caller recomputes and overwrites, so damage never propagates.
+        Corrupt entries (a damaged seal, another schema, kind or digest,
+        a CRC mismatch) are removed and reported as misses after
+        counting ``corrupt`` -- the caller recomputes and overwrites, so
+        damage never propagates.
         """
         path = self.path_for(kind, digest)
         try:
@@ -100,8 +101,8 @@ class DiskCacheStore:
         except OSError:
             self._count("misses", kind)
             return None
-        body = self._verify(raw, kind, digest)
-        if body is None:
+        text = unseal(raw, "b", self._head(kind, digest))
+        if text is None:
             self._count("corrupt", kind)
             self._count("misses", kind)
             try:
@@ -110,55 +111,48 @@ class DiskCacheStore:
                 pass
             return None
         self._count("hits", kind)
-        return body
+        return text
 
-    def put(self, kind: str, digest: str, body: Any) -> bool:
-        """Store ``body`` under ``digest``; returns False on I/O failure.
+    def get(self, kind: str, digest: str) -> Optional[Any]:
+        """The body stored under ``digest``, parsed; ``None`` on a miss."""
+        text = self.get_text(kind, digest)
+        return None if text is None else json.loads(text)
 
-        The write is atomic (tmp file + rename): concurrent writers of
-        the same digest are last-writer-wins with no partial reads.
+    def put_text(self, kind: str, digest: str, text: str) -> bool:
+        """Store the JSON ``text`` under ``digest``; False on I/O failure.
+
+        The text is written byte for byte and sealed by its CRC.  The
+        write is atomic (tmp file + rename): concurrent writers of the
+        same digest are last-writer-wins with no partial reads.
         """
         path = self.path_for(kind, digest)
-        entry = {
-            "v": CACHE_SCHEMA_VERSION,
-            "k": kind,
-            "d": digest,
-            "c": zlib.crc32(_canonical(body).encode("utf-8")),
-            "b": body,
-        }
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             write_text_atomic(
-                path,
-                json.dumps(entry, separators=(",", ":"), allow_nan=False),
-                durable=False,
+                path, seal("b", text, self._head(kind, digest)), durable=False
             )
         except (OSError, ValueError):
             return False
         self._count("writes", kind)
         return True
 
+    def put(self, kind: str, digest: str, body: Any) -> bool:
+        """Store ``body`` as strict JSON; False when it cannot be stored."""
+        try:
+            text = json.dumps(body, allow_nan=False)
+        except ValueError:
+            return False
+        return self.put_text(kind, digest, text)
+
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _verify(raw: bytes, kind: str, digest: str) -> Optional[Any]:
-        """Parse + self-verify one entry; ``None`` when damaged/foreign."""
-        try:
-            # Bytes in: tampering can damage the UTF-8 encoding itself,
-            # which must read as corruption, not raise past the caller.
-            entry = json.loads(raw)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(entry, dict) or "b" not in entry:
-            return None
-        if entry.get("v") != CACHE_SCHEMA_VERSION:
-            return None
-        if entry.get("k") != kind or entry.get("d") != digest:
-            return None
-        body = entry["b"]
-        if zlib.crc32(_canonical(body).encode("utf-8")) != entry.get("c"):
-            return None
-        return body
+    def _head(kind: str, digest: str) -> str:
+        """The members an entry carries before its seal."""
+        return (
+            f'"v":{CACHE_SCHEMA_VERSION},"k":{json.dumps(kind)},'
+            f'"d":{json.dumps(digest)},'
+        )
 
     def _count(self, counter: str, kind: str) -> None:
         setattr(self, counter, getattr(self, counter) + 1)

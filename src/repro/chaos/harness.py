@@ -34,7 +34,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..batch import BatchEngine, BatchItem, BatchJournal, JournalError, RetryPolicy
 from ..model.io import system_from_dict
@@ -175,7 +175,9 @@ class _KillAfterJournal(BatchJournal):
         super().__init__(path, fsync_interval=0.0)
         self._kill_after = kill_after
 
-    def append(self, digest: str, index: int, record: Dict[str, Any]) -> None:
+    def append(
+        self, digest: str, index: int, record: Union[str, Dict[str, Any]]
+    ) -> None:
         super().append(digest, index, record)
         if self._kill_after is not None and self.n_appended >= self._kill_after:
             os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))

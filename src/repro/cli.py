@@ -916,7 +916,7 @@ def _cmd_batch(args) -> int:
     with _observe(args):
         report = engine.run(items)
     for record in report:
-        print(json.dumps(record.to_dict(), allow_nan=False))
+        print(record.to_json())
     print(report.summary(), file=sys.stderr)
     if args.audit and report.n_violations:
         print(

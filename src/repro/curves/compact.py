@@ -242,7 +242,9 @@ def _emit_chord(emit, knots, V, L, s: int, e: int, mode: str) -> None:
     linearity, not by its rise.
     """
     a, b = float(knots[s]), float(knots[e])
-    rho = (L[e] - V[s]) / (b - a)
+    # Python floats: an overflowing slope is inf here, where numpy scalars
+    # would also raise a RuntimeWarning.
+    rho = (float(L[e]) - float(V[s])) / (b - a)
     if not math.isfinite(rho):
         # The chord slope overflows when the span's knots are packed
         # within a denormal width.  Fall back to the certified flat step

@@ -16,15 +16,22 @@ readable as the journal beside it.
 The journal (:mod:`repro.batch.journal`) is the one writer that does not
 fit this shape -- it appends incrementally by design -- and handles its
 own durability with per-record framing and fsync intervals instead.
+
+The journal's lines and the result cache's entries are both *sealed*
+(:func:`seal` / :func:`unseal`): one JSON object whose last member is
+the body and whose ``"c"`` is the CRC-32 of the body's bytes exactly as
+written, so a reader checks the slice it read instead of re-encoding
+what it parsed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Union
+import zlib
+from typing import Any, Optional, Union
 
-__all__ = ["write_text_atomic", "write_json_atomic", "fsync_path"]
+__all__ = ["write_text_atomic", "write_json_atomic", "fsync_path", "seal", "unseal"]
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -100,3 +107,39 @@ def write_json_atomic(
         default=default,
     )
     return write_text_atomic(path, text + "\n", durable=durable)
+
+
+def seal(key: str, body: str, head: str = "") -> str:
+    """``{<head>"c":<crc>,"<key>":<body>}``, the body's CRC-32 sealing it.
+
+    ``body`` is JSON text, kept byte for byte; ``crc`` is the CRC-32 of
+    its UTF-8 bytes.  ``head`` holds the members written before the
+    seal, each followed by a comma.
+    """
+    crc = zlib.crc32(body.encode("utf-8"))
+    return f'{{{head}"c":{crc},"{key}":{body}}}'
+
+
+def unseal(raw: bytes, key: str, head: str = "") -> Optional[str]:
+    """The body text of a :func:`seal` of ``key`` and ``head``.
+
+    ``None`` when ``raw`` is anything else: another head, a damaged seal
+    or a body whose bytes do not match the CRC (which catches every
+    change of up to four consecutive bytes).
+    """
+    prefix = f'{{{head}"c":'.encode("utf-8")
+    if not (raw.startswith(prefix) and raw.endswith(b"}")):
+        return None
+    sep = f',"{key}":'.encode("utf-8")
+    at = raw.find(sep, len(prefix))
+    if at < 0:
+        return None
+    crc = raw[len(prefix) : at]
+    body = raw[at + len(sep) : -1]
+    # A CRC-32 has at most ten digits; bytes.isdigit() is ASCII-only.
+    if not (len(crc) <= 10 and crc.isdigit()) or zlib.crc32(body) != int(crc):
+        return None
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError:
+        return None

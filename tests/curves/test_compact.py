@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.curves import Curve
@@ -73,6 +73,9 @@ def assert_direction(c: Curve, r: Curve, mode: str):
 
 @settings(max_examples=120, deadline=None)
 @given(any_curves, modes, budgets, shapes)
+# Knots packed within a denormal width: the chord slope of the first span
+# overflows, and the flat fallback must take over without a warning.
+@example(Curve.step_from_times([5e-324, 1e-311, 1.0, 2.0], 1.0), "upper", 8, "linear")
 def test_budget_direction_and_cap(c, mode, budget, shape):
     r = compact(c, mode, budget=budget, shape=shape)
     assert r.n_breakpoints <= max(budget, c.n_breakpoints)

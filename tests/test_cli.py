@@ -691,6 +691,10 @@ class TestAnalyzerRefusals:
         code, out, err = self._run(tmp_path, capsys, data, "analyze")
         assert code == 2 and out == ""
         assert "requires every processor to use SPP" in err
+        # The way out names a --method value, not a class.
+        assert err.rstrip().endswith(
+            "use Mixed/App for mixed or non-preemptive systems"
+        )
 
 
 class TestOneUsageErrorPath:
