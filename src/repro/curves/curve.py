@@ -180,7 +180,8 @@ class Curve:
             that the final slope continues are removed.  A long ramp keeps
             most of its points (a straight run of 9 keeps 5), and
             abscissae closer than ``EPS`` are never merged: a jump is
-            never moved in time.
+            never moved in time.  A step curve stays a step: no drop
+            leaves a ramp of its sub-``EPS`` rises.
         """
         return cls._build(x, y, final_slope, canonicalize)
 

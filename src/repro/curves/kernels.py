@@ -185,6 +185,11 @@ def normalize(x, y, final_slope: float, canonicalize: bool, owned: bool = False)
     return np.ascontiguousarray(xs), np.ascontiguousarray(ys), final_slope
 
 
+def _ramp(x0, y0, x1, y1):
+    """Where the segments from ``(x0, y0)`` to ``(x1, y1)`` are ramps."""
+    return (x1 - x0 > EPS) & (y1 - y0 > EPS)
+
+
 def _drop(x: np.ndarray, y: np.ndarray, inner: np.ndarray):
     """``x`` and ``y`` without the interior points flagged in ``inner``."""
     keep = np.ones(x.size, dtype=bool)
@@ -210,6 +215,11 @@ def _canonicalize(
        abscissae): no evaluation can tell it from the run's end points.
     4. Drop the final point when the final slope continues it.
 
+    A step curve stays a step (see :func:`is_step`): on one, steps 2 and 3
+    keep a point whose neighbours lie more than :data:`EPS` apart in both
+    time and value, since dropping it would leave a ramp.  Sub-EPS rises
+    that steps 2 and 3 fold into a plateau would otherwise add up to one.
+
     The arrays are indexed only when a step drops something.
     """
     if x.size == 1:
@@ -221,13 +231,19 @@ def _canonicalize(
     if inner.any():
         x, y = _drop(x, y, inner)
         same = x[1:] == x[:-1]
+    # Whether the curve is a step, settled when a drop is first in question.
+    step = None
     # 2. Drop the upper point of zero-height jumps.
     dup = same & (y[1:] - y[:-1] <= EPS)
     if dup.any():
-        keep = np.ones(x.size, dtype=bool)
-        keep[1:] = ~dup
-        x = x[keep]
-        y = y[keep]
+        step = is_step(x, y, final_slope, EPS)
+        if step:
+            dup[:-1] &= ~_ramp(x[:-2], y[:-2], x[2:], y[2:])
+        if dup.any():
+            keep = np.ones(x.size, dtype=bool)
+            keep[1:] = ~dup
+            x = x[keep]
+            y = y[keep]
     # 3. Remove collinear interior points, at most four passes.  A pass
     #    drops a point collinear with its immediate neighbours only when
     #    its left neighbour is not, so it drops the first point of each
@@ -248,6 +264,10 @@ def _canonicalize(
             & (x2 > x1)
             & (np.abs((y2 - y0) * (x1 - x0) - (y1 - y0) * span) <= EPS * span)
         )
+        if step is None and collinear.any():
+            step = is_step(x, y, final_slope, EPS)
+        if step:
+            collinear &= ~_ramp(x0, y0, x2, y2)
         # Never drop both endpoints of adjacent triples in one pass.  The
         # right-hand side is read before the update, so this clears every
         # flag whose left neighbour was flagged, not every other one.

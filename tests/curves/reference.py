@@ -234,12 +234,19 @@ def _canonicalize(
             kept_x.append(x[i])
             kept_y.append(y[i])
     x, y = kept_x, kept_y
+    # On a step curve no drop may leave a ramp between its neighbours.
+    step = is_step((x, y, final_slope))
+
+    def makes_ramp(i: int) -> bool:
+        return (step and 0 < i < len(x) - 1
+                and x[i + 1] - x[i - 1] > EPS and y[i + 1] - y[i - 1] > EPS)
+
     # 2. Drop the upper point of zero-height jumps.
     if len(x) > 1:
         kept_x = [x[0]]
         kept_y = [y[0]]
         for i in range(1, len(x)):
-            if x[i] == x[i - 1] and y[i] - y[i - 1] <= EPS:
+            if x[i] == x[i - 1] and y[i] - y[i - 1] <= EPS and not makes_ramp(i):
                 continue
             kept_x.append(x[i])
             kept_y.append(y[i])
@@ -258,6 +265,7 @@ def _canonicalize(
                 x1 > x0
                 and x2 > x1
                 and abs((y2 - y0) * (x1 - x0) - (y1 - y0) * span) <= EPS * span
+                and not makes_ramp(i)
             )
         # Never drop both endpoints of adjacent triples in one pass:
         # suppress using the *original* neighbour flags.

@@ -297,6 +297,38 @@ def test_plateau_points_keep_canonical_form(data):
 
 
 @settings(max_examples=150)
+@given(plateau_data(rises=("jump",)))
+def test_canonical_form_keeps_a_step_a_step(data):
+    xs, ys, fs = data
+    assert Curve.from_breakpoints(xs, ys, fs).is_step()
+
+
+#: Step breakpoints whose rises of at most EPS add up to more than EPS:
+#: an ulp jump and an EPS jump a few ulps of time apart; an EPS jump whose
+#: plateau then climbs by less than EPS.
+SUB_EPS_RISES = [
+    ([0.0, 1e-12, 2e-12, 2e-12, 3e-12, 4e-12, 4e-12, 1.000000000004,
+      1.000000000005],
+     [0.7, 0.7, 0.7, 0.7000000000000001, 0.7000000000000001,
+      0.7000000000000001, 0.700000001, 0.700000001, 0.700000001]),
+    ([0.0, 1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 6e-10, 1.2e-9, 1.0]),
+]
+
+
+@pytest.mark.parametrize("xs, ys", SUB_EPS_RISES)
+def test_sub_eps_rises_keep_a_step_a_step(xs, ys):
+    """Canonicalization leaves no ramp that ``service_transform`` refuses."""
+    c = Curve.from_breakpoints(xs, ys, 0.0)
+    assert c.is_step()
+    assert_matches(c, ref.normalize(xs, ys, 0.0))
+    B = Curve.identity()
+    assert_matches(
+        service_transform(B, c, lag=0.0, t_end=120.0),
+        ref.service_transform(ref.table(B), ref.table(c), 0.0, 120.0),
+    )
+
+
+@settings(max_examples=150)
 @given(plateau_insertions(), query_lists, value_lists)
 def test_plateau_points_change_no_evaluation(data, ts, vs):
     """Points inside an exact plateau are invisible to every evaluation.
