@@ -76,6 +76,7 @@ from ..obs.status import StatusWriter
 from ..obs.trace import trace_span
 from .journal import BatchJournal, campaign_fingerprint, item_digest
 from .retry import (
+    MAX_POOL_KILLS,
     RetryPolicy,
     degradation_rungs,
     escalate_rung,
@@ -105,6 +106,11 @@ STATUS_CRASH = "crash"
 #: Poison item: kept killing fresh pools or exhausted its retry budget
 #: with transient failures.  Carries a reproduction payload.
 STATUS_QUARANTINED = "quarantined"
+
+#: Bound on fresh one-worker pools built after worker deaths while items
+#: run one at a time; beyond it, the remaining items are recorded as
+#: crashes rather than restarting pools forever.
+MAX_POOL_RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -708,10 +714,6 @@ class BatchEngine:
         With ``journal``: when the journal file already exists, validate
         its fingerprint against this campaign and skip every journaled
         item.  Without an existing file, a fresh journal is started.
-    max_pool_restarts:
-        Bound on fresh one-worker pools built after worker deaths while
-        items run one at a time; beyond it, the remaining items are
-        recorded as crashes rather than restarting pools forever.
     fault_injector:
         Chaos hook (see :mod:`repro.chaos`): a picklable object whose
         ``before_item(item_id, attempt, timeout_exc)`` runs in the worker
@@ -738,7 +740,6 @@ class BatchEngine:
         retry: Optional[RetryPolicy] = None,
         journal: Optional[Any] = None,
         resume: bool = False,
-        max_pool_restarts: int = 8,
         fault_injector: Optional[Any] = None,
         status: Optional[str] = None,
         status_interval: float = 1.0,
@@ -749,8 +750,6 @@ class BatchEngine:
             raise ValueError("chunksize must be positive")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
-        if max_pool_restarts < 0:
-            raise ValueError("max_pool_restarts must be >= 0")
         if resume and journal is None:
             raise ValueError("resume=True requires a journal")
         if status_interval < 0:
@@ -769,7 +768,6 @@ class BatchEngine:
         self.retry = retry
         self.journal = journal
         self.resume = resume
-        self.max_pool_restarts = max_pool_restarts
         self.fault_injector = fault_injector
         self.status_path = status
         self.status_interval = status_interval
@@ -999,7 +997,7 @@ class BatchEngine:
         Items whose attempt the retry policy accepts, and every item of a
         chunk whose worker died, then run one at a time: on the pool each
         runs alone in a one-worker pool, so a death is attributable.  That
-        pool is rebuilt after each death, up to ``max_pool_restarts``;
+        pool is rebuilt after each death, up to :data:`MAX_POOL_RESTARTS`;
         past the bound, the remaining items are recorded as crashes.
         """
         pooled = n_workers > 0
@@ -1058,14 +1056,14 @@ class BatchEngine:
             while queue:
                 t = queue[0]
                 if solo is None:
-                    if restarts > self.max_pool_restarts:
+                    if restarts > MAX_POOL_RESTARTS:
                         for rest in queue:
                             finish(
                                 self._failure(
                                     rest,
                                     STATUS_CRASH,
                                     "worker supervision gave up: retry pool "
-                                    f"restart budget ({self.max_pool_restarts}) "
+                                    f"restart budget ({MAX_POOL_RESTARTS}) "
                                     "exhausted",
                                 )
                             )
@@ -1142,7 +1140,7 @@ class BatchEngine:
             t.pool_kills += 1
             if policy is None:  # one isolation try, then a crash record
                 return self._failure(t, STATUS_CRASH, died)
-            if t.pool_kills >= policy.max_pool_kills:
+            if t.pool_kills >= MAX_POOL_KILLS:
                 return self._quarantine(t, f"killed {t.pool_kills} dedicated pools")
             if t.attempt >= policy.max_attempts:
                 return self._quarantine(

@@ -4,7 +4,7 @@ The batch engine treats three failure statuses as *transient*: a
 ``timeout`` (the item may have been starved by a noisy neighbour), a
 ``crash`` (the worker may have died from memory pressure unrelated to
 the item) and an ``error`` whose exception type is listed in
-:attr:`RetryPolicy.transient_errors`.  A :class:`RetryPolicy` bounds how
+:data:`TRANSIENT_ERRORS`.  A :class:`RetryPolicy` bounds how
 often such items are retried, spaces the retries with deterministic
 exponential backoff + jitter, and decides when an item is *poison* --
 one that keeps killing fresh pools or keeps timing out -- and must be
@@ -45,8 +45,14 @@ from ..model.system import System
 
 __all__ = [
     "DEGRADED_BUDGET",
+    "JITTER",
+    "JITTER_SEED",
+    "MAX_DELAY",
+    "MAX_POOL_KILLS",
     "QUARANTINE_SCHEMA_VERSION",
+    "RETRY_STATUSES",
     "RetryPolicy",
+    "TRANSIENT_ERRORS",
     "degradation_rungs",
     "escalate_rung",
     "quarantine_payload",
@@ -58,8 +64,27 @@ DEGRADED_BUDGET = 64
 
 QUARANTINE_SCHEMA_VERSION = 1
 
-#: Statuses a :class:`RetryPolicy` retries by default.
-_TRANSIENT_STATUSES: Tuple[str, ...] = ("timeout", "crash")
+#: Statuses a :class:`RetryPolicy` retries.
+RETRY_STATUSES: Tuple[str, ...] = ("timeout", "crash")
+
+#: Exception type names whose ``error`` records are treated as transient
+#: (retried like a crash) even though the worker survived.  Matched
+#: against the leading ``TypeName:`` of the error string.
+TRANSIENT_ERRORS: Tuple[str, ...] = ("ChaosTransientError", "OSError")
+
+#: Relative jitter amplitude of a backoff sleep: the delay is scaled by a
+#: factor drawn deterministically from ``[1 - JITTER, 1 + JITTER]`` keyed
+#: on ``(JITTER_SEED, item, attempt)``, so a thundering herd of retried
+#: items spreads out while runs stay reproducible.
+JITTER = 0.1
+JITTER_SEED = 0
+
+#: Upper bound on a single backoff sleep (seconds).
+MAX_DELAY = 30.0
+
+#: Quarantine an item after it has killed this many one-worker pools
+#: (pools running only that item) -- the unambiguous poison signature.
+MAX_POOL_KILLS = 2
 
 
 @dataclass(frozen=True)
@@ -74,28 +99,9 @@ class RetryPolicy:
         crashes and transient errors it produces.
     base_delay:
         Backoff before the first retry (seconds).  Retry *k* (1-based)
-        waits ``base_delay * 2**(k-1)``, capped at ``max_delay``, then
-        scaled by the jitter factor.  ``0`` disables sleeping entirely
-        (tests, chaos runs).
-    jitter:
-        Relative jitter amplitude in ``[0, 1)``: the delay is scaled by a
-        factor drawn deterministically from ``[1 - jitter, 1 + jitter]``
-        keyed on ``(seed, item, attempt)``, so a thundering herd of
-        retried items spreads out while runs stay reproducible.
-    max_delay:
-        Upper bound on a single backoff sleep (seconds).
-    seed:
-        Jitter seed; same seed, same schedule.
-    retry_statuses:
-        Failure statuses eligible for retry.
-    transient_errors:
-        Exception type names whose ``error`` records are treated as
-        transient (retried like a crash) even though the worker survived.
-        Matched against the leading ``TypeName:`` of the error string.
-    max_pool_kills:
-        Quarantine an item after it has killed this many one-worker
-        pools (pools running only that item) -- the unambiguous poison
-        signature.
+        waits ``base_delay * 2**(k-1)``, capped at :data:`MAX_DELAY`,
+        then scaled by the :data:`JITTER` factor.  ``0`` disables
+        sleeping entirely (tests, chaos runs).
     degrade:
         Walk the degradation ladder on repeated failures (see
         :func:`degradation_rungs`).  When off, every retry reuses the
@@ -104,12 +110,6 @@ class RetryPolicy:
 
     max_attempts: int = 3
     base_delay: float = 0.25
-    jitter: float = 0.1
-    max_delay: float = 30.0
-    seed: int = 0
-    retry_statuses: Tuple[str, ...] = _TRANSIENT_STATUSES
-    transient_errors: Tuple[str, ...] = ("ChaosTransientError", "OSError")
-    max_pool_kills: int = 2
     degrade: bool = True
 
     def __post_init__(self) -> None:
@@ -117,20 +117,16 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.base_delay < 0:
             raise ValueError("base_delay must be >= 0")
-        if not (0.0 <= self.jitter < 1.0):
-            raise ValueError("jitter must be in [0, 1)")
-        if self.max_pool_kills < 1:
-            raise ValueError("max_pool_kills must be >= 1")
 
     # ------------------------------------------------------------------
 
     def is_transient(self, status: str, error: Optional[str] = None) -> bool:
         """Is this outcome worth retrying at all?"""
-        if status in self.retry_statuses:
+        if status in RETRY_STATUSES:
             return True
         if status == "error" and error:
             head = error.split(":", 1)[0].strip()
-            return head in self.transient_errors
+            return head in TRANSIENT_ERRORS
         return False
 
     def should_retry(
@@ -143,14 +139,12 @@ class RetryPolicy:
         """Backoff before the retry that follows attempt ``attempt``."""
         if self.base_delay <= 0:
             return 0.0
-        raw = min(self.max_delay, self.base_delay * (2.0 ** (attempt - 1)))
-        if self.jitter <= 0:
-            return raw
+        raw = min(MAX_DELAY, self.base_delay * (2.0 ** (attempt - 1)))
         h = hashlib.blake2b(
-            f"{self.seed}:{key}:{attempt}".encode("utf-8"), digest_size=8
+            f"{JITTER_SEED}:{key}:{attempt}".encode("utf-8"), digest_size=8
         ).digest()
         unit = int.from_bytes(h, "big") / float(1 << 64)  # [0, 1)
-        return raw * (1.0 - self.jitter + 2.0 * self.jitter * unit)
+        return raw * (1.0 - JITTER + 2.0 * JITTER * unit)
 
 
 # ----------------------------------------------------------------------

@@ -36,8 +36,8 @@ class ChaosTransientError(RuntimeError):
     """Synthetic transient failure (the kind a retry should absorb).
 
     The class name doubles as the retry-classification key: it is listed
-    in :attr:`repro.batch.retry.RetryPolicy.transient_errors` by default,
-    so an injected error is retried exactly like a real flaky I/O error.
+    in :data:`repro.batch.retry.TRANSIENT_ERRORS`, so an injected error
+    is retried exactly like a real flaky I/O error.
     """
 
 

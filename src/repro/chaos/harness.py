@@ -98,7 +98,6 @@ class ChaosConfig:
         return RetryPolicy(
             max_attempts=self.max_attempts,
             base_delay=0.0,
-            jitter=0.0,
             degrade=False,
         )
 

@@ -174,14 +174,16 @@ class Curve:
         canonicalize:
             When true (default) the breakpoint list is normalized (see
             :func:`repro.curves.kernels._canonicalize`): a third point at
-            one abscissa, the top of a jump no higher than ``EPS``, the
-            first interior point of a straight run in each of four passes,
-            every interior point of an exactly flat run, and a final point
-            that the final slope continues are removed.  A long ramp keeps
-            most of its points (a straight run of 9 keeps 5), and
-            abscissae closer than ``EPS`` are never merged: a jump is
-            never moved in time.  A step curve stays a step: no drop
-            leaves a ramp of its sub-``EPS`` rises.
+            one abscissa, the top of a jump of height exactly zero, every
+            interior point of an exactly flat run, and a final point that
+            the final slope reaches within ``EPS`` are removed.  Only the
+            last rule moves a value, by at most ``EPS`` past the last kept
+            point; a ramp keeps every point, and abscissae closer than
+            ``EPS`` are never merged: a jump is never moved in time.
+
+        Raises :class:`CurveError` on invalid data: a non-finite number,
+        ``x[0] != 0``, ``x`` or ``y`` falling by more than ``EPS``, or a
+        negative final slope.
         """
         return cls._build(x, y, final_slope, canonicalize)
 

@@ -17,15 +17,17 @@ order intact when editing a kernel, or regenerate the goldens
 deliberately.
 
 Construction (:func:`normalize`) validates and noise-clamps breakpoints,
-then canonicalizes them (:func:`_canonicalize`).  Jumps are exactly
-equal abscissae and never move.  Ramp points collinear within
-:data:`EPS` go in four passes that each drop the first point of every
-straight run, so a long ramp keeps most of its points.  An exactly flat
-run keeps only its two end points, since no evaluation can tell the
-difference; under bursty arrivals most of a service or availability
-curve is such runs.  The curve-valued operators hand their fresh outputs
-over (``owned``), so a result is clamped in place and copied only when
-canonicalization drops a point or the array is not contiguous.
+then canonicalizes them (:func:`_canonicalize`).  Canonicalization is
+exact: it drops only the breakpoints that no evaluation can see -- a
+third point at one abscissa, the top of a jump of height exactly zero
+and the interior of an exactly flat run -- plus a final point that the
+final slope reaches within :data:`EPS`, the one tolerance, stated in
+value units.  Jumps are exactly equal abscissae and never move, and a
+ramp keeps every point its values need.  Under bursty arrivals most of
+a service or availability curve is flat runs.  The curve-valued
+operators hand their fresh outputs over (``owned``), so a result is
+clamped in place and copied only when canonicalization drops a point or
+the array is not contiguous.
 
 The operators that evaluate their operands on a union grid of the
 operands' own breakpoints (:func:`sum_curves`, :func:`min_curves`)
@@ -147,10 +149,11 @@ def _eval_piecewise(
 def normalize(x, y, final_slope: float, canonicalize: bool, owned: bool = False):
     """Validate, noise-clamp and (optionally) canonicalize breakpoints.
 
-    Raises :class:`CurveError` on invalid input; returns contiguous
-    ``(x, y, final_slope)`` the curve will freeze.  The input arrays are
-    copied unless ``owned`` hands them over: a kernel's fresh outputs are
-    clamped in place and kept when canonicalization drops nothing.
+    Raises :class:`CurveError` on invalid input, non-finite numbers
+    included; returns contiguous ``(x, y, final_slope)`` the curve will
+    freeze.  The input arrays are copied unless ``owned`` hands them
+    over: a kernel's fresh outputs are clamped in place and kept when
+    canonicalization drops nothing.
     """
     xs = _as_float_array(x)
     ys = _as_float_array(y)
@@ -163,8 +166,15 @@ def normalize(x, y, final_slope: float, canonicalize: bool, owned: bool = False)
         raise CurveError(
             f"final_slope must be finite and >= 0, got {final_slope}"
         )
-    if abs(xs[0]) > EPS:
+    if not abs(xs[0]) <= EPS:
         raise CurveError(f"curve domain must start at 0, got x[0]={xs[0]}")
+    # The ends are checked before the diffs below, which would read
+    # ``inf - inf`` at an infinite end.  Between finite ends an infinity
+    # leaves a diff of -inf (not non-decreasing) or NaN, as a NaN does.
+    if not (
+        math.isfinite(xs[-1]) and math.isfinite(ys[0]) and math.isfinite(ys[-1])
+    ):
+        raise CurveError("breakpoints must be finite")
     if not owned:
         xs = xs.copy()
         ys = ys.copy()
@@ -178,16 +188,13 @@ def normalize(x, y, final_slope: float, canonicalize: bool, owned: bool = False)
             if low < -EPS:
                 raise CurveError(f"{name} must be non-decreasing")
             if not low >= 0.0:
+                if math.isnan(low):
+                    raise CurveError("breakpoints must be finite")
                 np.maximum.accumulate(arr, out=arr)
     final_slope = max(0.0, float(final_slope))
     if canonicalize:
         xs, ys = _canonicalize(xs, ys, final_slope)
     return np.ascontiguousarray(xs), np.ascontiguousarray(ys), final_slope
-
-
-def _ramp(x0, y0, x1, y1):
-    """Where the segments from ``(x0, y0)`` to ``(x1, y1)`` are ramps."""
-    return (x1 - x0 > EPS) & (y1 - y0 > EPS)
 
 
 def _drop(x: np.ndarray, y: np.ndarray, inner: np.ndarray):
@@ -200,27 +207,30 @@ def _drop(x: np.ndarray, y: np.ndarray, inner: np.ndarray):
 def _canonicalize(
     x: np.ndarray, y: np.ndarray, final_slope: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Drop breakpoints that the curve's values do not need.
+    """Drop the breakpoints that no evaluation can see.
 
     1. Of a run of more than two points at one abscissa keep the first
        and the last.  Jumps are encoded by *exactly* equal abscissae, and
        abscissae closer than :data:`EPS` are never merged, so
        canonicalization never moves a jump in time.
-    2. Drop the upper point of a jump no higher than :data:`EPS`.
-    3. Drop interior ramp points collinear with their neighbours within
-       :data:`EPS`, in at most four passes.  A pass never drops two
-       neighbours, so each drops the first point of every straight run and
-       a long ramp keeps most of its points.  Then drop, in one pass, every
-       interior point of an exactly flat run (equal values, increasing
-       abscissae): no evaluation can tell it from the run's end points.
-    4. Drop the final point when the final slope continues it.
+    2. Drop the upper point of a jump of height exactly zero (the same
+       value, zeros of one sign).
+    3. Drop every interior point of an exactly flat run (equal values,
+       increasing abscissae).  On such a run every ramp term is
+       ``frac * 0.0``, and a search of ``y`` lands on a run's first or
+       past its last point, never inside it.
+    4. Drop the final point, when it ends a ramp, if the final slope
+       reaches its value within :data:`EPS`:
+       ``abs(y[-1] - y[-2] - final_slope * (x[-1] - x[-2])) <= EPS``.
 
-    A step curve stays a step (see :func:`is_step`): on one, steps 2 and 3
-    keep a point whose neighbours lie more than :data:`EPS` apart in both
-    time and value, since dropping it would leave a ramp.  Sub-EPS rises
-    that steps 2 and 3 fold into a plateau would otherwise add up to one.
+    Rules 1-3 are exact: :func:`eval_right`, :func:`eval_left`,
+    :func:`first_crossing` and :func:`last_below` read the same bits with
+    or without the points they drop.  Rule 4 is the one tolerance:
+    past the last kept point the curve may read up to :data:`EPS` off its
+    data, so that float noise at the end of a kernel output does not
+    make two otherwise equal curves differ.
 
-    The arrays are indexed only when a step drops something.
+    The arrays are indexed only when a rule drops something.
     """
     if x.size == 1:
         return x, y
@@ -231,66 +241,30 @@ def _canonicalize(
     if inner.any():
         x, y = _drop(x, y, inner)
         same = x[1:] == x[:-1]
-    # Whether the curve is a step, settled when a drop is first in question.
-    step = None
-    # 2. Drop the upper point of zero-height jumps.
-    dup = same & (y[1:] - y[:-1] <= EPS)
+    # 2. Drop the upper point of zero-height jumps: equal bits, since a
+    #    query at -0.0 reads the sign of a zero at abscissa 0.
+    bits = y.view(np.int64)
+    dup = same & (bits[1:] == bits[:-1])
     if dup.any():
-        step = is_step(x, y, final_slope, EPS)
-        if step:
-            dup[:-1] &= ~_ramp(x[:-2], y[:-2], x[2:], y[2:])
-        if dup.any():
-            keep = np.ones(x.size, dtype=bool)
-            keep[1:] = ~dup
-            x = x[keep]
-            y = y[keep]
-    # 3. Remove collinear interior points, at most four passes.  A pass
-    #    drops a point collinear with its immediate neighbours only when
-    #    its left neighbour is not, so it drops the first point of each
-    #    straight run.
-    for _ in range(4):
-        if x.size < 3:
-            break
-        x0, y0 = x[:-2], y[:-2]
-        x1, y1 = x[1:-1], y[1:-1]
-        x2, y2 = x[2:], y[2:]
-        span = x2 - x0
-        # Only interior ramp points are candidates: a point sharing an
-        # abscissa with a neighbour is part of a jump and must stay
-        # (the cross-product test can underflow to a false positive on
-        # denormal segment widths).
-        collinear = (
-            (x1 > x0)
-            & (x2 > x1)
-            & (np.abs((y2 - y0) * (x1 - x0) - (y1 - y0) * span) <= EPS * span)
-        )
-        if step is None and collinear.any():
-            step = is_step(x, y, final_slope, EPS)
-        if step:
-            collinear &= ~_ramp(x0, y0, x2, y2)
-        # Never drop both endpoints of adjacent triples in one pass.  The
-        # right-hand side is read before the update, so this clears every
-        # flag whose left neighbour was flagged, not every other one.
-        collinear[1:] &= ~collinear[:-1]
-        if not np.any(collinear):
-            break
-        x, y = _drop(x, y, collinear)
-    # Exactly flat runs: a point between two others of the same value at
-    # smaller and larger abscissae.  On such a run every ramp term is
-    # ``frac * 0.0``, and a search of ``y`` lands on a run's first or
-    # past its last point, never inside it.  Run after the EPS passes,
-    # whose chords it would otherwise change.
+        keep = np.ones(x.size, dtype=bool)
+        keep[1:] = ~dup
+        x = x[keep]
+        y = y[keep]
+    # 3. Drop every point between two of the same value at smaller and
+    #    larger abscissae.
     if x.size >= 3:
         run = (x[1:] > x[:-1]) & (y[1:] == y[:-1])
         flat = run[:-1] & run[1:]
         if flat.any():
             x, y = _drop(x, y, flat)
-    # 4. Final point redundant if it continues the final slope.
-    if x.size >= 2 and x[-1] - x[-2] > EPS:
-        seg_slope = (y[-1] - y[-2]) / (x[-1] - x[-2])
-        if abs(seg_slope - final_slope) <= EPS:
-            x = x[:-1]
-            y = y[:-1]
+    # 4. Final point redundant if the final slope reaches it within EPS.
+    if (
+        x.size >= 2
+        and x[-1] > x[-2]
+        and abs(y[-1] - y[-2] - final_slope * (x[-1] - x[-2])) <= EPS
+    ):
+        x = x[:-1]
+        y = y[:-1]
     return x, y
 
 
@@ -327,9 +301,9 @@ def step_from_times(times, height: float):
 
     Returns fresh ``(x, y, canonical)``: ``(0, 0)``, then the foot and
     the top of one jump per distinct time, where a jump at 0 starts from
-    ``(0, 0)`` itself.  The breakpoints are in canonical form unless some
-    jump is at most :data:`EPS` high, which ``canonical`` reports:
-    canonicalization drops such a jump.
+    ``(0, 0)`` itself.  ``canonical`` reports whether every cumulative
+    height is strictly above the one before, which makes the breakpoints
+    canonical: no jump is of height zero and no run is flat.
     """
     ts = np.sort(_as_float_array(times)) if np.size(times) else np.empty(0)
     if ts.size == 0:
@@ -350,7 +324,7 @@ def step_from_times(times, height: float):
     cum = np.cumsum(counts) * float(height)
     ys[1::2] = np.concatenate(([0.0], cum[:-1]))
     ys[2::2] = cum
-    canonical = cum[0] > EPS and bool((cum[1:] - cum[:-1] > EPS).all())
+    canonical = cum[0] > 0.0 and bool((cum[1:] > cum[:-1]).all())
     if uniq[0] == 0.0:  # the foot of the jump at 0 is (0, 0)
         return xs[1:], ys[1:], canonical
     return xs, ys, canonical

@@ -70,10 +70,12 @@ class PeriodicArrivals(ArrivalProcess):
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if self.offset < 0:
-            raise ValueError("offset must be non-negative")
+        if self.period <= 0 or not math.isfinite(self.period):
+            raise ValueError(f"period must be positive and finite, got {self.period}")
+        if self.offset < 0 or not math.isfinite(self.offset):
+            raise ValueError(
+                f"offset must be non-negative and finite, got {self.offset}"
+            )
 
     def release_times(self, t_end: float) -> np.ndarray:
         if t_end <= self.offset:
@@ -103,8 +105,8 @@ class BurstyArrivals(ArrivalProcess):
     x: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.x):
-            raise ValueError("x must be positive")
+        if not (0.0 < self.x) or not math.isfinite(self.x):
+            raise ValueError(f"x must be positive and finite, got {self.x}")
 
     def release_times(self, t_end: float) -> np.ndarray:
         x = self.x
@@ -134,6 +136,8 @@ class TraceArrivals(ArrivalProcess):
 
     def __init__(self, times: Sequence[float]) -> None:
         ts = tuple(sorted(float(t) for t in times))
+        if not all(map(math.isfinite, ts)):
+            raise ValueError("release times must be finite")
         if any(t < 0 for t in ts):
             raise ValueError("release times must be non-negative")
         if any(b - a <= 0 for a, b in zip(ts, ts[1:])):
@@ -162,8 +166,14 @@ class SporadicArrivals(ArrivalProcess):
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.min_gap <= 0:
-            raise ValueError("min_gap must be positive")
+        if self.min_gap <= 0 or not math.isfinite(self.min_gap):
+            raise ValueError(
+                f"min_gap must be positive and finite, got {self.min_gap}"
+            )
+        if self.offset < 0 or not math.isfinite(self.offset):
+            raise ValueError(
+                f"offset must be non-negative and finite, got {self.offset}"
+            )
 
     def release_times(self, t_end: float) -> np.ndarray:
         return PeriodicArrivals(self.min_gap, self.offset).release_times(t_end)
@@ -189,10 +199,13 @@ class LeakyBucketArrivals(ArrivalProcess):
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.sigma < 1:
-            raise ValueError("sigma must be at least 1 (first instance)")
+        if self.rho <= 0 or not math.isfinite(self.rho):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if self.sigma < 1 or not math.isfinite(self.sigma):
+            raise ValueError(
+                f"sigma must be finite and at least 1 (first instance), "
+                f"got {self.sigma}"
+            )
 
     def release_times(self, t_end: float) -> np.ndarray:
         if t_end <= 0:

@@ -70,9 +70,9 @@ class StatusWriter:
     interval:
         Minimum seconds between two non-forced writes.  ``0`` writes on
         every update (useful in tests).
-    include_metrics:
-        Embed a snapshot of the active :class:`MetricsRegistry` (when
-        one is enabled) in each status document.
+
+    Each status document embeds a snapshot of the active
+    :class:`MetricsRegistry` when one is enabled.
     """
 
     def __init__(
@@ -80,14 +80,12 @@ class StatusWriter:
         path: str,
         campaign: str = "batch",
         interval: float = 1.0,
-        include_metrics: bool = True,
     ) -> None:
         if interval < 0:
             raise ValueError("interval must be >= 0")
         self.path = path
         self.campaign = campaign
         self.interval = float(interval)
-        self.include_metrics = include_metrics
         self.total = 0
         self.n_workers = 0
         self.by_status: Dict[str, int] = {}
@@ -219,10 +217,9 @@ class StatusWriter:
             },
             "journal": journal_block,
         }
-        if self.include_metrics:
-            registry = _metrics.active_metrics()
-            if registry is not None:
-                doc["metrics"] = _json_sanitize(registry.snapshot())
+        registry = _metrics.active_metrics()
+        if registry is not None:
+            doc["metrics"] = _json_sanitize(registry.snapshot())
         return doc
 
     def write(self, force: bool = False, durable: bool = False) -> bool:

@@ -21,6 +21,7 @@ from repro.batch import (
     BatchItem,
     RetryPolicy,
 )
+from repro.batch import engine
 from repro.model import (
     Job,
     JobSet,
@@ -80,9 +81,7 @@ class TestCrashWithPolicy:
             BatchItem(system=_Bomb(), item_id="bomb"),
             BatchItem(small_system(wcet=1.1), item_id="ok2"),
         ]
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=0.0, max_pool_kills=2, degrade=False
-        )
+        policy = RetryPolicy(max_attempts=5, base_delay=0.0, degrade=False)
         report = BatchEngine(n_workers=2, chunksize=3, retry=policy).run(items)
         by_id = {r.item_id: r for r in report}
         bomb = by_id["bomb"]
@@ -98,9 +97,7 @@ class TestCrashWithPolicy:
 
     def test_quarantine_record_is_json_ready(self):
         items = [BatchItem(system=_Bomb(), item_id="bomb")]
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=0.0, max_pool_kills=2, degrade=False
-        )
+        policy = RetryPolicy(max_attempts=5, base_delay=0.0, degrade=False)
         # n_workers=2 with a single item falls to the serial path, which
         # cannot crash-isolate; force the pool with a filler item.
         items.append(BatchItem(small_system(), item_id="filler"))
@@ -110,16 +107,15 @@ class TestCrashWithPolicy:
         assert payload["status"] == "quarantined"
         assert payload["quarantine"]["kind"] == "repro.batch.quarantine"
 
-    def test_restart_budget_bounds_pool_rebuilds(self):
+    def test_restart_budget_bounds_pool_rebuilds(self, monkeypatch):
         """With the restart budget at 0, the first pool death spends it
         and every remaining suspect is finalized without a new pool."""
+        monkeypatch.setattr(engine, "MAX_POOL_RESTARTS", 0)
         items = [
             BatchItem(system=_Bomb(), item_id=f"b{i}") for i in range(3)
         ] + [BatchItem(small_system(), item_id="ok")]
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, degrade=False)
-        report = BatchEngine(
-            n_workers=2, chunksize=4, retry=policy, max_pool_restarts=0
-        ).run(items)
+        report = BatchEngine(n_workers=2, chunksize=4, retry=policy).run(items)
         by_id = {r.item_id: r for r in report}
         assert len(report) == 4
         statuses = {by_id[f"b{i}"].status for i in range(3)}

@@ -15,6 +15,7 @@ from repro.batch import (
     RetryPolicy,
     degradation_rungs,
 )
+from repro.batch import retry
 from repro.batch.retry import (
     DEGRADED_BUDGET,
     escalate_rung,
@@ -62,10 +63,6 @@ class TestPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_pool_kills=0)
 
     def test_transient_classification(self):
         p = RetryPolicy()
@@ -83,22 +80,25 @@ class TestPolicy:
         assert not p.should_retry(3, "timeout")
         assert not p.should_retry(1, "error", "ValueError: nope")
 
-    def test_delay_grows_and_caps(self):
-        p = RetryPolicy(base_delay=0.5, jitter=0.0, max_delay=2.0)
+    def test_delay_grows_and_caps(self, monkeypatch):
+        monkeypatch.setattr(retry, "JITTER", 0.0)
+        monkeypatch.setattr(retry, "MAX_DELAY", 2.0)
+        p = RetryPolicy(base_delay=0.5)
         assert p.delay(1) == pytest.approx(0.5)
         assert p.delay(2) == pytest.approx(1.0)
         assert p.delay(3) == pytest.approx(2.0)
         assert p.delay(10) == pytest.approx(2.0)
 
-    def test_delay_jitter_is_deterministic_and_bounded(self):
-        p = RetryPolicy(base_delay=1.0, jitter=0.2, max_delay=100.0)
+    def test_delay_jitter_is_deterministic_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(retry, "JITTER", 0.2)
+        monkeypatch.setattr(retry, "MAX_DELAY", 100.0)
+        p = RetryPolicy(base_delay=1.0)
         d1, d2 = p.delay(1, key="item-a"), p.delay(1, key="item-a")
         assert d1 == d2
         assert 0.8 <= d1 <= 1.2
         assert p.delay(1, key="item-b") != d1
-        assert RetryPolicy(base_delay=1.0, jitter=0.2, seed=1).delay(
-            1, key="item-a"
-        ) != d1
+        monkeypatch.setattr(retry, "JITTER_SEED", 1)
+        assert p.delay(1, key="item-a") != d1
 
     def test_zero_base_delay_never_sleeps(self):
         assert RetryPolicy(base_delay=0.0).delay(5, key="x") == 0.0

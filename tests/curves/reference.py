@@ -24,9 +24,6 @@ Porting rules observed throughout (do not "simplify" them away):
 * ``np.clip(f, 0.0, 1.0)`` is the max-then-min composition of the above;
 * ``np.maximum.accumulate`` / ``np.minimum.accumulate`` are sequential
   left-to-right folds of the same two-argument forms;
-* ``collinear[1:] &= ~collinear[:-1]`` reads the *original* flag values
-  (NumPy materializes the right-hand side first), so the port combines
-  original flags elementwise rather than sequentially-updated ones;
 * ``np.interp`` uses a different interpolation formula
   (``slope * (x - x0) + y0`` with an exact-match short-circuit) than the
   curve evaluators (``y0 + frac * (y1 - y0)``); :func:`_interp_scalar`
@@ -234,58 +231,21 @@ def _canonicalize(
             kept_x.append(x[i])
             kept_y.append(y[i])
     x, y = kept_x, kept_y
-    # On a step curve no drop may leave a ramp between its neighbours.
-    step = is_step((x, y, final_slope))
-
-    def makes_ramp(i: int) -> bool:
-        return (step and 0 < i < len(x) - 1
-                and x[i + 1] - x[i - 1] > EPS and y[i + 1] - y[i - 1] > EPS)
-
-    # 2. Drop the upper point of zero-height jumps.
-    if len(x) > 1:
-        kept_x = [x[0]]
-        kept_y = [y[0]]
-        for i in range(1, len(x)):
-            if x[i] == x[i - 1] and y[i] - y[i - 1] <= EPS and not makes_ramp(i):
-                continue
+    # 2. Drop the upper point of zero-height jumps (zeros of one sign).
+    kept_x = [x[0]]
+    kept_y = [y[0]]
+    for i in range(1, len(x)):
+        if not (
+            x[i] == x[i - 1]
+            and y[i] == y[i - 1]
+            and math.copysign(1.0, y[i]) == math.copysign(1.0, y[i - 1])
+        ):
             kept_x.append(x[i])
             kept_y.append(y[i])
-        x, y = kept_x, kept_y
-    # 3. Remove collinear interior points (a few passes suffice).
-    for _ in range(4):
-        if len(x) < 3:
-            break
-        flags = []
-        for i in range(1, len(x) - 1):
-            x0, y0 = x[i - 1], y[i - 1]
-            x1, y1 = x[i], y[i]
-            x2, y2 = x[i + 1], y[i + 1]
-            span = x2 - x0
-            flags.append(
-                x1 > x0
-                and x2 > x1
-                and abs((y2 - y0) * (x1 - x0) - (y1 - y0) * span) <= EPS * span
-                and not makes_ramp(i)
-            )
-        # Never drop both endpoints of adjacent triples in one pass:
-        # suppress using the *original* neighbour flags.
-        suppressed = [
-            flags[j] and not (j > 0 and flags[j - 1]) for j in range(len(flags))
-        ]
-        if not any(suppressed):
-            break
-        kept_x = [x[0]]
-        kept_y = [y[0]]
-        for i in range(1, len(x) - 1):
-            if not suppressed[i - 1]:
-                kept_x.append(x[i])
-                kept_y.append(y[i])
-        kept_x.append(x[-1])
-        kept_y.append(y[-1])
-        x, y = kept_x, kept_y
-    # Exactly flat runs, after the EPS passes: drop every interior point
-    # between two of the same value at smaller and larger abscissae.  The
-    # flags are all taken before any point goes.
+    x, y = kept_x, kept_y
+    # 3. Exactly flat runs: drop every interior point between two of the
+    #    same value at smaller and larger abscissae.  The flags are all
+    #    taken before any point goes.
     if len(x) >= 3:
         kept_x = [x[0]]
         kept_y = [y[0]]
@@ -296,12 +256,14 @@ def _canonicalize(
         kept_x.append(x[-1])
         kept_y.append(y[-1])
         x, y = kept_x, kept_y
-    # 4. Final point redundant if it continues the final slope.
-    if len(x) >= 2 and x[-1] - x[-2] > EPS:
-        seg_slope = (y[-1] - y[-2]) / (x[-1] - x[-2])
-        if abs(seg_slope - final_slope) <= EPS:
-            x = x[:-1]
-            y = y[:-1]
+    # 4. Final point redundant if the final slope reaches it within EPS.
+    if (
+        len(x) >= 2
+        and x[-1] > x[-2]
+        and abs(y[-1] - y[-2] - final_slope * (x[-1] - x[-2])) <= EPS
+    ):
+        x = x[:-1]
+        y = y[:-1]
     return x, y
 
 

@@ -13,9 +13,11 @@ dropped breakpoint, and a chain in which it keeps a later point.
 Exactly flat operands, alone and mixed with sloped ones, drive the
 gather paths of the grid kernels.  Long exact plateaus, at ``+0.0``,
 ``-0.0`` and positive levels and joined by rises of one ulp up to EPS,
-drive the flat-run pass of canonicalization where it meets the EPS
-passes; two property tests check that points inside an exact plateau
-change neither the canonical form nor any evaluation.  ``identity_minus``
+drive the flat-run pass of canonicalization; two property tests check
+that points inside an exact plateau change neither the canonical form
+nor any evaluation, and a third that canonicalizing any table changes
+no evaluation but the tail that the final slope reaches within EPS.
+``identity_minus``
 reads its total's own breakpoints, so it is driven with a lateness at,
 between and past them, totals with three or more points at one abscissa,
 step sums with releases less than EPS apart, totals compacted to chords
@@ -86,9 +88,9 @@ def raw_breakpoint_data(draw):
 
     Kept un-normalized so construction tests feed the *same* input to the
     kernel and the oracle; canonicalization is not idempotent in general
-    (an all-flat ramp collapses differently on a second pass), so
-    comparing a once-normalized curve against a rebuilt one would test
-    idempotency, not the kernel.
+    (a ramp that the final slope continues loses one more point on each
+    pass), so comparing a once-normalized curve against a rebuilt one
+    would test idempotency, not the kernel.
     """
     n = draw(st.integers(min_value=1, max_value=12))
     dx = draw(st.lists(st.floats(min_value=0.0, max_value=5.0),
@@ -116,9 +118,7 @@ def flat_curves(draw):
     Plateaus and jumps alternate from ``y[0] = 0.0`` or ``-0.0``; some of
     either are narrower than EPS, and some jumps have zero height.  Half
     the curves stay uncanonicalized, so zero-height jumps and plateaus
-    split in two reach the kernels.  Canonicalization drops the top of a
-    jump below EPS, which leaves a ramp: such a curve is a step within
-    EPS but not exactly flat, and takes the interpolating path.
+    split in two reach the kernels.
     """
     xs = [0.0]
     ys = [draw(st.sampled_from([0.0, -0.0]))]
@@ -153,9 +153,9 @@ def plateau_data(draw, rises=("jump", "ramp"), heights=rise_heights):
     positive level, or zero, where every point draws ``+0.0`` or ``-0.0``.
     Plateaus are joined by ``rises``: a jump, or a ramp of slope at most 1
     (so a ramp-only curve is a valid availability or total curve).  A
-    rise of one ulp or up to EPS next to a plateau makes its end points
-    collinear within EPS, where the EPS passes and the flat-run pass
-    meet.  With jumps only, the final slope is 0 and the curve a step.
+    rise of one ulp or up to EPS next to a plateau leaves its end points
+    collinear within EPS but not flat, so the flat-run pass keeps them.
+    With jumps only, the final slope is 0 and the curve a step.
     """
     level = draw(st.sampled_from([0.0, -0.0, 0.7]))
     xs, ys = [0.0], [level]
@@ -283,12 +283,10 @@ value_lists = st.lists(
 
 
 @settings(max_examples=100)
-@given(plateau_insertions(rises=("jump",), heights=st.floats(0.05, 3.0)))
+@given(plateau_insertions())
 def test_plateau_points_keep_canonical_form(data):
-    # Plateaus end at jumps higher than EPS here, so their end points are
-    # never candidates of the EPS passes.  (Next to a rise within EPS the
-    # added points join a straight run of those passes and can change
-    # which of its points they drop.)
+    # Next to any rise, sub-EPS ones included: the flat-run pass drops
+    # every point inside an exact plateau.
     (xs, ys, fs), (more_x, more_y, _) = data
     want = Curve.from_breakpoints(xs, ys, fs).breakpoints()
     got = Curve.from_breakpoints(more_x, more_y, fs).breakpoints()
@@ -334,7 +332,7 @@ def test_plateau_points_change_no_evaluation(data, ts, vs):
     """Points inside an exact plateau are invisible to every evaluation.
 
     This is why the flat-run pass of canonicalization is exact.  The
-    curves are left uncanonicalized, so the EPS passes play no part.
+    curves are left uncanonicalized, so no other rule plays a part.
     Queries are the breakpoints and segment midpoints of the longer curve,
     drawn times, ``-0.0`` and ``+inf``; values are its breakpoint values,
     drawn values and signed zeros.
@@ -349,6 +347,104 @@ def test_plateau_points_change_no_evaluation(data, ts, vs):
     assert_same_floats(more.value_left(q), base.value_left(q))
     assert_same_floats(more.first_crossing(v), base.first_crossing(v))
     assert_same_floats(more.last_below(v), base.last_below(v))
+
+
+#: Segment widths: one ulp of the abscissa, sub-EPS ones, ordinary ones.
+boundary_widths = st.one_of(st.sampled_from(["ulp", 1e-12, 6e-10]),
+                            st.floats(min_value=0.01, max_value=3.0))
+
+#: Rises of jumps and ramps: zero, one ulp, up to EPS, ordinary.
+boundary_rises = st.one_of(st.sampled_from([0.0, "ulp", 1e-12, 6e-10, EPS]),
+                           st.floats(min_value=0.05, max_value=3.0))
+
+#: Misses of a ramp that continues the one before: exact, within EPS,
+#: just past it.
+boundary_misses = st.sampled_from([0.0, 4e-10, -4e-10, EPS, 2e-9])
+
+
+def _up(v: float) -> float:
+    return float(np.nextafter(v, math.inf))
+
+
+@st.composite
+def eps_boundary_data(draw):
+    """Raw (xs, ys, final_slope) at the EPS boundary of canonicalization.
+
+    Segments are jumps, exact plateaus, ramps, and ramps that continue
+    the slope before them to within EPS; rises include zero, one ulp and
+    sub-EPS ones, abscissae may lie one ulp apart, and values at zero
+    carry either sign.  The final slope is drawn, or reaches the last
+    point from the one before to within EPS or just past it.
+    """
+    x, y = 0.0, draw(st.sampled_from([0.0, -0.0, 0.7]))
+    xs, ys, slope = [x], [y], 0.5
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(["jump", "plateau", "ramp", "straight"]))
+        nx = x
+        if kind != "jump":
+            w = draw(boundary_widths)
+            nx = _up(x) if w == "ulp" else x + w
+        if kind == "plateau":
+            ny = draw(st.sampled_from([0.0, -0.0])) if y == 0 else y
+        elif kind == "straight":
+            ny = max(y, y + slope * (nx - x) + draw(boundary_misses))
+        else:
+            h = draw(boundary_rises)
+            ny = _up(y) if h == "ulp" else y + h
+        if nx > x and ny > y:
+            slope = min(2.0, (ny - y) / (nx - x))
+        x, y = nx, ny
+        xs.append(x)
+        ys.append(y)
+    fs = draw(st.sampled_from([0.0, 0.5, 1.0, "reach"]))
+    if fs == "reach":
+        width = xs[-1] - xs[-2]
+        miss = draw(boundary_misses)
+        fs = min(2.0, max(0.0, (ys[-1] - ys[-2] + miss) / width)) if width else 0.0
+    return np.asarray(xs), np.asarray(ys), fs
+
+
+def _within_eps(got, want) -> bool:
+    """Equal, or apart by EPS and the rounding of two evaluations."""
+    return all(
+        a == b or abs(a - b) <= EPS + 8 * math.ulp(max(abs(a), abs(b)))
+        for a, b in zip(got.tolist(), want.tolist())
+    )
+
+
+@settings(max_examples=300)
+@given(eps_boundary_data(), query_lists, value_lists)
+@example(([0.0, 1.0, 2.0, 3.0], [0.0, 0.5 + 4e-10, 1.0, 1.2], 0.0),
+         [1.0], [0.5])
+@example(([0.0, 1.0, 32001.0], [0.0, 1.0, 1.0000288], 0.0), [32001.0], [1.0])
+def test_canonical_form_changes_no_evaluation(data, ts, vs):
+    """Canonicalizing a table changes no evaluation but a tail within EPS.
+
+    ``value``, ``value_left``, ``first_crossing`` and ``last_below`` read
+    the same bits before and after, at the table's breakpoints, their
+    midpoints, drawn times, ``-0.0`` and ``+inf``, and at its values,
+    drawn values and signed zeros.  The one exception is a final point
+    dropped because the final slope reaches it within EPS: past the last
+    kept point values may then differ by EPS, and so may an inverse whose
+    search reaches past that point.
+    """
+    xs, ys, fs = data
+    raw = Curve.from_breakpoints(xs, ys, fs, canonicalize=False)
+    canon = Curve.from_breakpoints(xs, ys, fs)
+    bx, by = raw.breakpoints()
+    q = np.asarray(ts + bx.tolist() + ((bx[1:] + bx[:-1]) / 2.0).tolist()
+                   + [-0.0, math.inf])
+    v = np.asarray(vs + by.tolist() + [0.0, -0.0])
+    x_end, y_end = canon.x_end, canon.y_end
+    head = q <= x_end if x_end < raw.x_end else np.ones(q.size, dtype=bool)
+    for evaluate in (Curve.value, Curve.value_left):
+        assert_same_floats(evaluate(canon, q[head]), evaluate(raw, q[head]))
+        assert _within_eps(evaluate(canon, q[~head]), evaluate(raw, q[~head]))
+    fc, lb = v, v
+    if x_end < raw.x_end:
+        fc, lb = v[v - EPS <= y_end], v[v + EPS < y_end]
+    assert_same_floats(canon.first_crossing(fc), raw.first_crossing(fc))
+    assert_same_floats(canon.last_below(lb), raw.last_below(lb))
 
 
 @settings(max_examples=80)

@@ -65,6 +65,29 @@ class TestConstruction:
         with pytest.raises(CurveError):
             Curve.from_breakpoints([], [])
 
+    @pytest.mark.parametrize("canonicalize", [True, False])
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([0.0, math.inf], [0.0, 1.0]),
+            ([0.0, 1.0], [0.0, math.nan]),
+            ([0.0, 1.0], [0.0, math.inf]),
+            ([math.nan, 1.0], [0.0, 1.0]),
+            ([0.0, 1.0], [-math.inf, 1.0]),
+            ([0.0, math.nan, 2.0], [0.0, 1.0, 2.0]),
+            ([0.0, 1.0, 2.0], [0.0, math.nan, 2.0]),
+            ([0.0, 1.0, 2.0], [0.0, math.inf, 2.0]),
+        ],
+    )
+    def test_non_finite_rejected(self, xs, ys, canonicalize):
+        with pytest.raises(CurveError):
+            Curve.from_breakpoints(xs, ys, canonicalize=canonicalize)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_release_time_rejected(self, t):
+        with pytest.raises(CurveError):
+            Curve.step_from_times([1.0, t])
+
 
 class TestStepFromTimes:
     def test_single_release_at_zero(self):
@@ -259,13 +282,21 @@ class TestStructure:
         assert Curve.identity().lipschitz_bound() == 1.0
         assert math.isinf(Curve.step_from_times([1.0], 1.0).lipschitz_bound())
 
-    def test_canonicalize_removes_collinear(self):
-        f = Curve.from_breakpoints([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0], final_slope=1.0)
-        assert f.n_breakpoints == 1
+    def test_canonicalize_keeps_a_tail_its_values_need(self):
+        # The last segment's slope is within EPS of the final slope 0, but
+        # over its width it rises 2.9e-5: dropping the point would read
+        # 1.0 at 32001, below the curve's own data.
+        f = Curve.from_breakpoints([0, 1, 32001], [0, 1, 1.0000288])
+        assert f.breakpoints().x.tolist() == [0.0, 1.0, 32001.0]
+        assert f.value(32001.0) == 1.0000288
 
     def test_canonicalize_removes_zero_jumps(self):
-        f = Curve.from_breakpoints([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0], final_slope=1.0)
-        assert f.n_breakpoints == 1
+        # An exactly zero jump goes; a jump of less than EPS stays.
+        f = Curve.from_breakpoints(
+            [0.0, 1.0, 1.0, 2.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0, 2.0 + 1e-10, 3.0]
+        )
+        assert f.breakpoints().x.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0]
+        assert f.breakpoints().y.tolist() == [0.0, 1.0, 2.0, 2.0 + 1e-10, 3.0]
 
     def test_canonicalize_collapses_flat_run(self):
         # Every interior point of an exactly flat run goes in one pass, and
@@ -276,22 +307,20 @@ class TestStructure:
         assert f.breakpoints().y.tolist() == [2.5]
 
     def test_canonicalize_flat_pass_follows_eps_passes(self):
-        # Two 6-point plateaus one ulp apart are one straight run within
-        # EPS: the four EPS passes drop its first four interior points.
-        # The flat pass then drops only the interior of the exactly equal
-        # upper run, keeping the ulp step at 5 and 6.  Flattening first, or
-        # treating the ulp step as flat, would leave the single point 0.
+        # Two 6-point plateaus one ulp apart: the flat pass drops the
+        # interior of each exactly equal run and keeps the ulp step at 5
+        # and 6, and the flat tail then takes the final point.  Treating
+        # the ulp step as flat would leave the single point 0.
         up = float(np.nextafter(1.0, 2.0))
         f = Curve.from_breakpoints(np.arange(12.0), [1.0] * 6 + [up] * 6)
         assert f.breakpoints().x.tolist() == [0.0, 5.0, 6.0]
         assert f.breakpoints().y.tolist() == [1.0, 1.0, up]
 
-    def test_canonicalize_keeps_most_of_a_ramp(self):
-        # Each of the four collinearity passes drops the first point of a
-        # straight run; a ramp is not a flat run, so 5 of 9 points stay.
+    def test_canonicalize_keeps_every_ramp_point(self):
+        # A straight ramp is not a flat run: all 9 points stay.
         xs = np.arange(9.0)
         f = Curve.from_breakpoints(xs, 0.5 * xs, final_slope=0.0)
-        assert f.breakpoints().x.tolist() == [0.0, 5.0, 6.0, 7.0, 8.0]
+        assert f.breakpoints().x.tolist() == xs.tolist()
 
     def test_canonicalize_keeps_near_duplicate_abscissae(self):
         # A ramp 1e-12 wide is not merged into a jump; only the final

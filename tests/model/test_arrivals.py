@@ -158,3 +158,36 @@ class TestLeakyBucket:
     def test_sigma_below_one_rejected(self):
         with pytest.raises(ValueError):
             LeakyBucketArrivals(rho=1.0, sigma=0.5)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PeriodicArrivals(NAN),
+        lambda: PeriodicArrivals(INF),
+        lambda: PeriodicArrivals(1.0, offset=NAN),
+        lambda: PeriodicArrivals(1.0, offset=INF),
+        lambda: BurstyArrivals(INF),
+        lambda: SporadicArrivals(NAN),
+        lambda: SporadicArrivals(1.0, offset=NAN),
+        lambda: LeakyBucketArrivals(NAN, 1.0),
+        lambda: LeakyBucketArrivals(INF, 1.0),
+        lambda: LeakyBucketArrivals(1.0, NAN),
+        lambda: TraceArrivals([1.0, NAN]),
+        lambda: TraceArrivals([1.0, INF]),
+    ],
+    ids=[
+        "periodic-nan", "periodic-inf", "periodic-offset-nan",
+        "periodic-offset-inf", "bursty-inf", "sporadic-nan",
+        "sporadic-offset-nan", "leaky-rho-nan", "leaky-rho-inf",
+        "leaky-sigma-nan", "trace-nan", "trace-inf",
+    ],
+)
+def test_non_finite_parameters_rejected(build):
+    # A NaN or infinite trace time used to be dropped by release_times
+    # (``arr < t_end``), so the analysis bounded fewer instances.
+    with pytest.raises(ValueError, match="finite"):
+        build()
